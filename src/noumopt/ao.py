@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelEstimate, SampleSet, SystemConfig, perturbation_stream
+from .channel import ChannelEstimate, SampleSet, SystemConfig
 from .strategies import (
     CommonRateAlloc,
     PrecoderSet,
@@ -41,9 +41,7 @@ class AoConfig:
 
     convergence_eps: float = 1e-4
     max_iterations: int = 200
-    init_scheme: str = "mrt-svd"
     subproblem_tol: float = 1e-8
-    n_starts: int = 1
     order_cap: int = 5
 
     def __post_init__(self):
@@ -51,6 +49,10 @@ class AoConfig:
             raise ValueError("convergence_eps must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.subproblem_tol <= 0:
+            raise ValueError("subproblem_tol must be > 0")
+        if self.order_cap < 1:
+            raise ValueError("order_cap must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ class AoResult:
     alloc: CommonRateAlloc
     report: RateReport
     trace: tuple[float, ...]
-    status: str                      # converged | max_iter | infeasible
+    status: str                      # converged | max_iter | infeasible | rejected
     order: tuple[int, ...] | None
     wasr: float
     last_kkt_residual: float
@@ -71,6 +73,24 @@ class AoResult:
 
     def totals(self) -> np.ndarray:
         return self.alloc.per_user + self.report.private_per_user
+
+
+def matched_filters(h: np.ndarray, power_per_user: float) -> np.ndarray:
+    """Unit-norm matched filters to the estimate columns, scaled to equal power.
+
+    A zero column falls back to a deterministic unit vector.
+    """
+    n_t, k_users = h.shape
+    private = np.zeros((n_t, k_users), dtype=complex)
+    for k in range(k_users):
+        norm = np.linalg.norm(h[:, k])
+        if norm > 1e-12:
+            direction = h[:, k] / norm
+        else:
+            direction = np.zeros(n_t, dtype=complex)
+            direction[k % n_t] = 1.0
+        private[:, k] = direction * np.sqrt(power_per_user)
+    return private
 
 
 def initialize_precoders(
@@ -91,16 +111,7 @@ def initialize_precoders(
     p_t = cfg.transmit_power
     beta = min(0.5, p_t ** (-min(cfg.csit_alpha, 1.0)) * k_users / (k_users + 1))
 
-    private = np.zeros((n_t, k_users), dtype=complex)
-    for k in range(k_users):
-        norm = np.linalg.norm(h[:, k])
-        if norm > 1e-12:
-            direction = h[:, k] / norm
-        else:
-            direction = np.zeros(n_t, dtype=complex)
-            direction[k % n_t] = 1.0
-        private[:, k] = direction * np.sqrt((1.0 - beta) * p_t / k_users)
-
+    private = matched_filters(h, (1.0 - beta) * p_t / k_users)
     if np.linalg.norm(h) > 1e-12:
         u, _, _ = np.linalg.svd(h, full_matrices=False)
         direction = u[:, 0]
@@ -342,7 +353,7 @@ def _run_ao(
         if step is None:
             # Solver tolerance left the point outside the rate constraints by
             # more than the clamps can absorb; keep the best iterate.
-            status = "max_iter"
+            status = "rejected"
             break
         for gamma in _EXTRAPOLATION_FACTORS:
             scaled = PrecoderSet(
@@ -377,49 +388,6 @@ def _run_ao(
     )
 
 
-def _perturbed_initial(
-    cfg: SystemConfig,
-    base: PrecoderSet,
-    start_index: int,
-) -> PrecoderSet:
-    rng = perturbation_stream(cfg, start_index)
-    shape = base.private.shape
-
-    def jostle(mat: np.ndarray) -> np.ndarray:
-        noise = rng.standard_normal(mat.shape) + 1j * rng.standard_normal(mat.shape)
-        return mat + 0.1 * np.sqrt(cfg.transmit_power / (2 * mat.size)) * noise
-
-    common = jostle(base.common)
-    private = jostle(base.private.reshape(-1)).reshape(shape)
-    scale = np.sqrt(cfg.transmit_power / (np.sum(np.abs(common) ** 2) + np.sum(np.abs(private) ** 2)))
-    return PrecoderSet(common * scale, private * scale, base.order)
-
-
-def optimize_multistart(
-    cfg: SystemConfig,
-    strategy: Strategy,
-    estimate: ChannelEstimate,
-    samples: SampleSet,
-    weights: np.ndarray,
-    multicast_threshold: float = 0.0,
-    unicast_thresholds: np.ndarray | None = None,
-    order: tuple[int, ...] | None = None,
-    ao: AoConfig = AoConfig(),
-) -> AoResult:
-    """Best of n_starts AO runs: the deterministic initializer plus perturbations."""
-    base = initialize_precoders(estimate, strategy, cfg, order)
-    best: AoResult | None = None
-    for start in range(max(1, ao.n_starts)):
-        initial = base if start == 0 else _perturbed_initial(cfg, base, start)
-        result = optimize(
-            cfg, strategy, estimate, samples, weights,
-            multicast_threshold, unicast_thresholds, order, ao, initial,
-        )
-        if best is None or (result.status != "infeasible" and result.wasr > best.wasr):
-            best = result
-    return best
-
-
 def optimize_over_orders(
     cfg: SystemConfig,
     strategy: Strategy,
@@ -442,7 +410,7 @@ def optimize_over_orders(
         )
     best: AoResult | None = None
     for order in itertools.permutations(range(cfg.num_users)):
-        result = optimize_multistart(
+        result = optimize(
             cfg, strategy, estimate, samples, weights,
             multicast_threshold, unicast_thresholds, order, ao,
         )
@@ -471,7 +439,7 @@ def optimize_strategy(
             cfg, strategy, estimate, samples, weights,
             multicast_threshold, unicast_thresholds, ao,
         )
-    return optimize_multistart(
+    return optimize(
         cfg, strategy, estimate, samples, weights,
         multicast_threshold, unicast_thresholds, None, ao,
     )

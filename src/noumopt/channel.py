@@ -20,7 +20,6 @@ import numpy as np
 # Stream tags for the counter-based seeding scheme.
 _ESTIMATE_STREAM = 0
 _ERROR_STREAM = 1
-_INIT_STREAM = 2
 
 
 @dataclass(frozen=True)
@@ -159,8 +158,3 @@ def draw_sample_set(
     )
     errors = z * scales[np.newaxis, np.newaxis, :]
     return SampleSet(estimate, errors, estimate.matrix[np.newaxis] + errors)
-
-
-def perturbation_stream(cfg: SystemConfig, start_index: int) -> np.random.Generator:
-    """Dedicated stream for optimizer restarts, independent of channel draws."""
-    return _stream(cfg, _INIT_STREAM, start_index)

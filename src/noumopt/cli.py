@@ -4,7 +4,7 @@ Subcommands:
     region     two-user rate-region sweep over the weight grid
     esr-alpha  ergodic sum rate versus CSIT quality sweep
     solve      optimize a single channel realization and print the result
-    validate   run the cross-module invariant batteries
+    validate   run the acceptance checks at smaller counts
 
 Exit codes: 0 success, 1 invalid config, 2 infeasible everywhere,
 3 internal numerical failure.
@@ -26,6 +26,7 @@ from .experiments import (
     ExperimentSpec,
     InfeasibleEverywhereError,
     load_config,
+    parse_strategies,
     run_esr_alpha,
     run_region,
     validate,
@@ -33,7 +34,6 @@ from .experiments import (
     write_manifest,
     write_region_hull,
 )
-from .strategies import Strategy
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -83,12 +83,9 @@ def _resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
     if args.realizations is not None:
         updates["num_realizations"] = args.realizations
     if args.strategies is not None:
-        try:
-            updates["strategies"] = tuple(
-                Strategy(s.strip()) for s in args.strategies.split(",") if s.strip()
-            )
-        except ValueError as exc:
-            raise ConfigError(f"unknown strategy: {exc}") from exc
+        updates["strategies"] = parse_strategies(
+            s.strip() for s in args.strategies.split(",") if s.strip()
+        )
     ao_updates = {}
     if args.max_iters is not None:
         ao_updates["max_iterations"] = args.max_iters
@@ -125,10 +122,7 @@ def _cmd_esr_alpha(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args)
-    try:
-        strategy = Strategy(args.strategy)
-    except ValueError as exc:
-        raise ConfigError(f"unknown strategy {args.strategy!r}") from exc
+    (strategy,) = parse_strategies([args.strategy])
     cfg = spec.system
     estimate = draw_estimate(cfg, args.realization)
     samples = draw_sample_set(cfg, estimate, spec.sample_count, args.realization)

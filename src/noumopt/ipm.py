@@ -52,9 +52,6 @@ class QuadraticForm:
             return np.zeros((self.dim, self.dim))
         return 2.0 * self.A
 
-    def shift_constant(self, delta: float) -> "QuadraticForm":
-        return QuadraticForm(self.A, self.b, self.c + delta)
-
 
 @dataclass
 class IpmResult:

@@ -24,11 +24,9 @@ allocated to it).
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .ipm import IpmResult, QuadraticForm, find_strictly_feasible, solve_barrier, solve_primal_dual
 from .strategies import CommonRateAlloc, PrecoderSet, Strategy
@@ -49,16 +47,12 @@ def _lift_vector(vec: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubproblemSpec:
-    """Compiled QCQP plus the raw ingredients it was built from."""
+    """Compiled QCQP plus the thresholds and sizes its solver needs."""
 
-    coefficients: QuadCoefficients
-    weights: np.ndarray
     unicast_thresholds: np.ndarray      # bit/s/Hz
     multicast_threshold: float          # bit/s/Hz
     power_budget: float
-    strategy: Strategy
     order: tuple[int, ...] | None
-    pin_common: bool
     num_users: int
     num_tx: int
     num_slack: int
@@ -103,30 +97,7 @@ class SubproblemSpec:
         return self.objective.value(self.pack(precoders, xhat_nats))
 
     def constraint_values(self, precoders: PrecoderSet, xhat_nats: np.ndarray) -> np.ndarray:
-        z = self.pack(precoders, xhat_nats)
-        return np.array([f.value(z) for f in self.constraints])
-
-    def dump(self, stream: io.TextIOBase) -> None:
-        """Text serialization: one `key = value` line per scalar, matrices as
-        row-major bracketed float lists.  For offline inspection only."""
-
-        def fmt(arr: np.ndarray) -> str:
-            return "[" + ", ".join(repr(float(v)) for v in np.asarray(arr).ravel()) + "]"
-
-        stream.write(f"strategy = {self.strategy.value}\n")
-        stream.write(f"num_users = {self.num_users}\n")
-        stream.write(f"num_tx = {self.num_tx}\n")
-        stream.write(f"num_slack = {self.num_slack}\n")
-        stream.write(f"power_budget = {self.power_budget!r}\n")
-        stream.write(f"weights = {fmt(self.weights)}\n")
-        stream.write(f"objective.A = {fmt(self.objective.A)}\n")
-        stream.write(f"objective.b = {fmt(self.objective.b)}\n")
-        stream.write(f"objective.c = {self.objective.c!r}\n")
-        for label, con in zip(self.constraint_labels, self.constraints):
-            a_txt = fmt(con.A) if con.A is not None else "[]"
-            stream.write(f"constraint.{label}.A = {a_txt}\n")
-            stream.write(f"constraint.{label}.b = {fmt(con.b)}\n")
-            stream.write(f"constraint.{label}.c = {con.c!r}\n")
+        return _constraint_values(self, self.pack(precoders, xhat_nats))
 
 
 @dataclass(frozen=True)
@@ -293,14 +264,10 @@ def build_subproblem(
         labels.append(f"sign_x{j}")
 
     return SubproblemSpec(
-        coefficients=coeffs,
-        weights=weights,
         unicast_thresholds=unicast_thresholds,
         multicast_threshold=multicast_threshold,
         power_budget=power_budget,
-        strategy=strategy,
         order=tuple(order) if order is not None else None,
-        pin_common=pin_common,
         num_users=k_users,
         num_tx=num_tx,
         num_slack=num_slack,
@@ -362,27 +329,30 @@ def _interior_candidate(
     return spec.pack(precoders, -chat)
 
 
+def _constraint_values(spec: SubproblemSpec, z: np.ndarray) -> np.ndarray:
+    return np.array([f.value(z) for f in spec.constraints])
+
+
+def _kkt_parts(
+    spec: SubproblemSpec, z: np.ndarray, lam: np.ndarray
+) -> tuple[float, float, float]:
+    """(stationarity, primal violation, complementarity) at (z, lam)."""
+    fvals = _constraint_values(spec, z)
+    J = np.stack([f.grad(z) for f in spec.constraints])
+    stationarity = float(np.linalg.norm(spec.objective.grad(z) + J.T @ lam, np.inf))
+    primal = float(max(0.0, np.max(fvals)))
+    complementarity = float(np.max(np.abs(lam * fvals)))
+    return stationarity, primal, complementarity
+
+
 def kkt_residual(
     spec: SubproblemSpec,
     precoders: PrecoderSet,
     xhat_nats: np.ndarray,
-    multipliers: np.ndarray | None = None,
+    multipliers: np.ndarray,
 ) -> float:
-    """Max of stationarity, primal-violation, and complementarity norms.
-
-    When multipliers are not supplied, the best nonnegative least-squares
-    multipliers for the stationarity condition are implied.
-    """
-    z = spec.pack(precoders, xhat_nats)
-    fvals = np.array([f.value(z) for f in spec.constraints])
-    J = np.stack([f.grad(z) for f in spec.constraints])
-    g0 = spec.objective.grad(z)
-    if multipliers is None:
-        multipliers, _ = nnls(J.T, -g0)
-    stationarity = float(np.linalg.norm(g0 + J.T @ multipliers, np.inf))
-    primal = float(max(0.0, np.max(fvals)))
-    complementarity = float(np.max(np.abs(multipliers * fvals)))
-    return max(stationarity, primal, complementarity)
+    """Max of stationarity, primal-violation, and complementarity norms."""
+    return max(_kkt_parts(spec, spec.pack(precoders, xhat_nats), multipliers))
 
 
 def solve(
@@ -398,8 +368,7 @@ def solve(
     line search stalls.
     """
     z0 = _interior_candidate(spec, initial)
-    fvals = np.array([f.value(z0) for f in spec.constraints])
-    if np.any(fvals >= -1e-12):
+    if np.any(_constraint_values(spec, z0) >= -1e-12):
         z0, worst = find_strictly_feasible(spec.constraints, z0, margin=1e-12, tol=tol)
         if z0 is None:
             return SubproblemSolution(
@@ -420,11 +389,7 @@ def solve(
             res = fallback
 
     z, lam = res.z, res.lam
-    fvals = np.array([f.value(z) for f in spec.constraints])
-    J = np.stack([f.grad(z) for f in spec.constraints])
-    stationarity = float(np.linalg.norm(spec.objective.grad(z) + J.T @ lam, np.inf))
-    primal = float(max(0.0, np.max(fvals)))
-    complementarity = float(np.max(np.abs(lam * fvals)))
+    stationarity, primal, complementarity = _kkt_parts(spec, z, lam)
     precoders, xhat = spec.unpack(z)
 
     chat_bits = np.zeros(spec.num_users + 1)

@@ -10,7 +10,6 @@ from scipy.optimize import minimize_scalar
 
 from noumopt import (
     COMMON,
-    PRIVATE,
     PrecoderSet,
     Strategy,
     SystemConfig,
@@ -23,17 +22,18 @@ from noumopt import (
     mmse_weight,
     mse,
     optimize,
-    rate_wmmse_identity_check,
     solve,
     update_equalizers_weights,
-    weighted_mse_bits,
     weighted_mse_nats,
-    xi_hat,
-    xi_hat_nats,
 )
 from noumopt.ao import AoConfig, optimize_strategy
 from noumopt.experiments import (
+    check_ao_monotonicity,
+    check_rate_wmmse_identity,
+    check_subproblem_kkt,
+    check_xi_hat_equivalence,
     ergodic_rates,
+    random_stream_tuple,
     run_esr_alpha,
     run_region,
     spec_from_dict,
@@ -49,30 +49,8 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"acceptance {number} {name}: {detail}"
 
 
-def random_tuple(rng):
-    k = int(rng.integers(1, 4))
-    n_t = int(rng.integers(1, 5))
-    strategy = ALL_STRATEGIES[int(rng.integers(4))]
-    order = tuple(int(i) for i in rng.permutation(k)) if strategy.uses_dpc else None
-    h = rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t)
-    e = 0.4 * (rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t))
-    prec = PrecoderSet(
-        rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t),
-        rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k)),
-        order,
-    )
-    user = int(rng.integers(k))
-    stream = COMMON if rng.random() < 0.5 else PRIVATE
-    return strategy, h, e, prec, stream, user
-
-
 def test_criterion_1_rate_wmmse_identity():
-    rng = np.random.default_rng(1)
-    worst = 0.0
-    for _ in range(1000):
-        strategy, h, e, prec, stream, user = random_tuple(rng)
-        xi, rate = rate_wmmse_identity_check(strategy, h, e, prec, stream, user)
-        worst = max(worst, abs(xi - (1.0 - rate)))
+    worst = check_rate_wmmse_identity(seed=1, count=1000)
     report(1, "rate-WMMSE identity", worst <= 1e-9, f"max |xi - (1-R)| = {worst:.3e} over 1000 tuples")
 
 
@@ -81,7 +59,7 @@ def test_criterion_2_closed_form_optimality():
     worst_gap = 0.0      # how far below the closed form any perturbation got
     worst_numeric = 0.0  # closed-form vs numeric 1-D minimization
     for _ in range(200):
-        strategy, h, e, prec, stream, user = random_tuple(rng)
+        strategy, h, e, prec, stream, user = random_stream_tuple(rng)
         T = effective_power_T(strategy, stream, user, h, e, prec)
         p = prec.common if stream == COMMON else prec.private[:, user]
         g_star = mmse_equalizer(h, p, T)
@@ -111,73 +89,15 @@ def test_criterion_2_closed_form_optimality():
 
 
 def test_criterion_3_xi_hat_equivalence():
-    rng = np.random.default_rng(3)
-    worst = 0.0
-    for trial in range(200):
-        k = int(rng.integers(1, 4))
-        n_t = int(rng.integers(1, 4))
-        strategy = ALL_STRATEGIES[trial % 4]
-        order = tuple(int(i) for i in rng.permutation(k)) if strategy.uses_dpc else None
-        cfg = SystemConfig(k, n_t, 15.0, 0.5, (1.0,) * k, int(rng.integers(2**31)))
-        est = draw_estimate(cfg, 0)
-        samples = draw_sample_set(cfg, est, 8, 0)
-        assembly = PrecoderSet(
-            rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t),
-            rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k)),
-            order,
-        )
-        target = PrecoderSet(
-            rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t),
-            rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k)),
-            order,
-        )
-        eq, wt = update_equalizers_weights(strategy, samples, assembly)
-        coeffs = assemble_coefficients(strategy, samples, eq, wt, order)
-        for user in range(k):
-            for s_idx, stream in enumerate((COMMON, PRIVATE)):
-                p_i = target.common if stream == COMMON else target.private[:, user]
-                direct = np.mean([
-                    weighted_mse_bits(
-                        eq.values[m, user, s_idx], wt.values[m, user, s_idx],
-                        effective_power_T(strategy, stream, user,
-                                          samples.realizations[m, :, user],
-                                          samples.errors[m, :, user], target),
-                        samples.realizations[m, :, user], p_i,
-                    )
-                    for m in range(8)
-                ])
-                worst = max(worst, abs(xi_hat(coeffs, target, stream, user) - direct))
+    worst = check_xi_hat_equivalence(seed=3, count=200)
     report(3, "xi_hat equals direct per-sample WMSE average", worst <= 1e-10,
            f"max deviation = {worst:.3e} over 200 instances")
 
 
 def test_criterion_4_subproblem_correctness():
-    worst_kkt = 0.0
-    solves = 0
-    for seed in range(6):
-        strategy = ALL_STRATEGIES[seed % 4]
-        k, n_t = 2, 2
-        order = (0, 1) if strategy.uses_dpc else None
-        cfg = SystemConfig(k, n_t, 20.0, 0.6, (1.0,) * k, seed)
-        est = draw_estimate(cfg, 0)
-        samples = draw_sample_set(cfg, est, 8, 0)
-        rng = np.random.default_rng(seed + 50)
-        prec = PrecoderSet(
-            rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t),
-            rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k)),
-            order,
-        )
-        scale = np.sqrt(0.8 * cfg.transmit_power / prec.total_power())
-        prec = PrecoderSet(prec.common * scale, prec.private * scale, order)
-        eq, wt = update_equalizers_weights(strategy, samples, prec)
-        coeffs = assemble_coefficients(strategy, samples, eq, wt, order)
-        spec = build_subproblem(
-            coeffs, np.ones(k), np.zeros(k), 0.1, cfg.transmit_power, strategy, order
-        )
-        sol = solve(spec, tol=1e-8, initial=prec)
-        assert sol.status == "optimal"
-        worst_kkt = max(worst_kkt, sol.kkt_residual)
-        solves += 1
+    seeds = range(6)
+    worst_kkt = check_subproblem_kkt(seeds)
+    solves = len(seeds)
 
     # Scalar oracle: N_t=1, K=1, M=1, no thresholds, grid search over the two
     # precoder magnitudes with phases pinned to the linear coefficients.
@@ -235,21 +155,8 @@ def test_criterion_4_subproblem_correctness():
 
 
 def test_criterion_5_ao_monotone_convergence():
-    worst_dip = 0.0
-    converged = 0
     runs = 50
-    for seed in range(runs):
-        cfg = SystemConfig(2, 2, 20.0, 0.6, (1.0, 1.0), seed)
-        est = draw_estimate(cfg, seed)
-        samples = draw_sample_set(cfg, est, 16, seed)
-        res = optimize(
-            cfg, Strategy.DPCRS1, est, samples, np.ones(2), order=(0, 1),
-            ao=AoConfig(convergence_eps=1e-4, max_iterations=200),
-        )
-        diffs = np.diff(res.trace)
-        if diffs.size:
-            worst_dip = max(worst_dip, float(-diffs.min()))
-        converged += res.status == "converged"
+    worst_dip, converged = check_ao_monotonicity(range(runs))
     frac = converged / runs
     ok = worst_dip <= 1e-6 and frac >= 0.95
     report(5, "AO monotone convergence", ok,

@@ -18,6 +18,7 @@ from noumopt import (
     solve,
     update_equalizers_weights,
 )
+from noumopt import ao as ao_module
 from noumopt.channel import ChannelEstimate
 
 
@@ -100,6 +101,15 @@ class TestMonotonicityAndStatus:
         res = optimize(cfg, Strategy.RS1, est, samples, np.array([1.0]),
                        multicast_threshold=absurd, ao=quick_ao())
         assert res.status == "infeasible"
+
+    def test_rejected_step_is_reported(self, monkeypatch):
+        monkeypatch.setattr(ao_module, "_candidate_state", lambda *args: None)
+        cfg = SystemConfig(2, 2, 20.0, 0.6, (1.0, 1.0), 0)
+        est = draw_estimate(cfg, 0)
+        samples = draw_sample_set(cfg, est, 8, 0)
+        res = optimize(cfg, Strategy.RS1, est, samples, np.ones(2), ao=quick_ao())
+        assert res.status == "rejected"
+        assert res.iterations == 0
 
     def test_converged_alloc_satisfies_rate_constraints(self):
         cfg = SystemConfig(2, 2, 20.0, 0.6, (1.0, 1.0), 9)

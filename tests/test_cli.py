@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import noumopt
 from noumopt.cli import main
 
 
@@ -34,10 +39,19 @@ class TestExitCodes:
         assert (tmp_path / "out" / "region.csv").exists()
         assert (tmp_path / "out" / "region_manifest.json").exists()
 
-    def test_unknown_key_is_config_error(self, tmp_path):
-        bad = dict(GOOD)
-        bad["wat"] = 1
-        cfg = write_config(tmp_path, bad)
+    @pytest.mark.parametrize("update", [
+        pytest.param({"wat": 1}, id="unknown-key"),
+        pytest.param({"sample_count": "many"}, id="sample-count-text"),
+        pytest.param({"weight_grid": ["x"]}, id="weight-grid-text"),
+        pytest.param({"multicast_threshold": "hi"}, id="multicast-text"),
+        pytest.param({"ao": [1]}, id="ao-not-object"),
+        pytest.param({"ao": {"n_starts": 2}}, id="ao-n-starts"),
+        pytest.param({"ao": {"init_scheme": "mrt-svd"}}, id="ao-init-scheme"),
+        pytest.param({"ao": {"subproblem_tol": 0.0}}, id="ao-zero-tol"),
+        pytest.param({"ao": {"order_cap": 0}}, id="ao-zero-order-cap"),
+    ])
+    def test_unknown_key_is_config_error(self, tmp_path, update):
+        cfg = write_config(tmp_path, {**GOOD, **update})
         assert main(["region", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
     def test_missing_config_flag(self, tmp_path):
@@ -93,3 +107,12 @@ class TestOverrides:
         text = (tmp_path / "o" / "esr_alpha.csv").read_text().splitlines()
         assert text[0].startswith("experiment_id,strategy,alpha")
         assert len(text) == 1 + 1 * 2 * 2 * 2
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, noumopt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(noumopt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"

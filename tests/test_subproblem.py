@@ -1,5 +1,4 @@
 import dataclasses
-import io
 
 import numpy as np
 import pytest
@@ -128,18 +127,6 @@ class TestBuildStructure:
             )
             assert abs(spec.objective_value(p, xhat) - manual) <= 1e-10
 
-    def test_dump_format(self):
-        cfg, samples, prec, coeffs, order = make_instance()
-        spec = build_subproblem(
-            coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power, Strategy.DPCRS1, order
-        )
-        buf = io.StringIO()
-        spec.dump(buf)
-        text = buf.getvalue()
-        assert "strategy = dpcrs1" in text
-        assert "objective.b = [" in text
-        assert "constraint.power.c = " in text
-
 
 class TestSolve:
     def test_kkt_residual_below_tolerance(self):
@@ -251,7 +238,7 @@ class TestKktResidual:
         shrunk = PrecoderSet(
             sol.precoders.common * 0.7, sol.precoders.private * 0.7, order
         )
-        away = kkt_residual(spec, shrunk, sol.xhat - 0.05)
+        away = kkt_residual(spec, shrunk, sol.xhat - 0.05, sol.multipliers)
         assert away > 1e-7
 
     def test_scale_consistency(self):
