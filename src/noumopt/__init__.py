@@ -10,7 +10,6 @@ from .ao import (
     AoResult,
     initialize_precoders,
     optimize,
-    optimize_over_orders,
     optimize_strategy,
 )
 from .channel import (
@@ -26,7 +25,6 @@ from .strategies import (
     PrecoderSet,
     RateReport,
     Strategy,
-    common_rate_bound,
     instantaneous_common_rate,
     instantaneous_private_rate,
     sampled_average_rates,

@@ -388,41 +388,6 @@ def _run_ao(
     )
 
 
-def optimize_over_orders(
-    cfg: SystemConfig,
-    strategy: Strategy,
-    estimate: ChannelEstimate,
-    samples: SampleSet,
-    weights: np.ndarray,
-    multicast_threshold: float = 0.0,
-    unicast_thresholds: np.ndarray | None = None,
-    ao: AoConfig = AoConfig(),
-) -> AoResult:
-    """Enumerate every DPC encoding order and keep the max-WASR result.
-
-    Ties break toward the lexicographically first order (deterministic).
-    """
-    if not strategy.uses_dpc:
-        raise ValueError("only DPC-family strategies have an encoding order")
-    if cfg.num_users > ao.order_cap:
-        raise ValueError(
-            f"num_users={cfg.num_users} exceeds the order enumeration cap {ao.order_cap}"
-        )
-    best: AoResult | None = None
-    for order in itertools.permutations(range(cfg.num_users)):
-        result = optimize(
-            cfg, strategy, estimate, samples, weights,
-            multicast_threshold, unicast_thresholds, order, ao,
-        )
-        if best is None:
-            best = result
-        elif result.status != "infeasible" and (
-            best.status == "infeasible" or result.wasr > best.wasr
-        ):
-            best = result
-    return best
-
-
 def optimize_strategy(
     cfg: SystemConfig,
     strategy: Strategy,
@@ -433,13 +398,26 @@ def optimize_strategy(
     unicast_thresholds: np.ndarray | None = None,
     ao: AoConfig = AoConfig(),
 ) -> AoResult:
-    """Dispatch: order enumeration for the DPC family, plain AO otherwise."""
+    """Best AO result over every DPC encoding order (one plain run otherwise).
+
+    A feasible result beats an infeasible one; ties break toward the
+    lexicographically first order (deterministic).
+    """
+    orders = (None,)
     if strategy.uses_dpc:
-        return optimize_over_orders(
+        if cfg.num_users > ao.order_cap:
+            raise ValueError(
+                f"num_users={cfg.num_users} exceeds the order enumeration cap {ao.order_cap}"
+            )
+        orders = itertools.permutations(range(cfg.num_users))
+    best: AoResult | None = None
+    for order in orders:
+        result = optimize(
             cfg, strategy, estimate, samples, weights,
-            multicast_threshold, unicast_thresholds, ao,
+            multicast_threshold, unicast_thresholds, order, ao,
         )
-    return optimize(
-        cfg, strategy, estimate, samples, weights,
-        multicast_threshold, unicast_thresholds, None, ao,
-    )
+        if best is None or (result.status != "infeasible" and (
+            best.status == "infeasible" or result.wasr > best.wasr
+        )):
+            best = result
+    return best

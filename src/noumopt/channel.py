@@ -44,6 +44,11 @@ class SystemConfig:
             raise ValueError("num_tx_antennas must be >= 1")
         if self.csit_alpha < 0:
             raise ValueError("csit_alpha must be >= 0")
+        if self.snr_db < 0 and self.csit_alpha > 0:
+            # sigma_e^2 = sigma^2 * P_t^(-alpha) would exceed sigma^2.
+            raise ValueError("snr_db < 0 requires csit_alpha = 0")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if len(self.channel_variances) != self.num_users:
             raise ValueError("channel_variances must have one entry per user")
         if any(v <= 0 for v in self.channel_variances):
@@ -129,13 +134,8 @@ def draw_estimate(cfg: SystemConfig, realization_index: int) -> ChannelEstimate:
     n_t, k_users = cfg.num_tx_antennas, cfg.num_users
     scales = np.empty(k_users)
     for k in range(k_users):
-        est_var = cfg.channel_variances[k] - error_variance(cfg, k)
-        if est_var < -1e-12:
-            raise ValueError(
-                f"error variance exceeds channel variance for user {k} "
-                "(transmit power below 0 dB with alpha > 0)"
-            )
-        scales[k] = np.sqrt(max(est_var, 0.0))
+        # SystemConfig keeps P_t^(-alpha) <= 1, so this variance is >= 0.
+        scales[k] = np.sqrt(cfg.channel_variances[k] - error_variance(cfg, k))
     z = _complex_normal(_stream(cfg, _ESTIMATE_STREAM, realization_index), (n_t, k_users))
     return ChannelEstimate(z * scales[np.newaxis, :])
 

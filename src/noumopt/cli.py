@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 invalid config, 2 infeasible everywhere,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -29,6 +28,7 @@ from .experiments import (
     parse_strategies,
     run_esr_alpha,
     run_region,
+    spec_from_dict,
     validate,
     write_csv,
     write_manifest,
@@ -41,13 +41,28 @@ EXIT_INFEASIBLE = 2
 EXIT_NUMERICAL = 3
 
 
+def _names(text: str) -> list[str]:
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
+# Override flag -> (config section, or None for the top level; config key).
+_OVERRIDES = {
+    "seed": ("system", "master_seed"),
+    "samples": (None, "sample_count"),
+    "realizations": (None, "num_realizations"),
+    "strategies": (None, "strategies"),
+    "max_iters": ("ao", "max_iterations"),
+    "eps": ("ao", "convergence_eps"),
+}
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON config file")
     parser.add_argument("--seed", type=int, help="override master seed")
     parser.add_argument("--out", type=Path, default=Path("results"), help="output directory")
     parser.add_argument("--samples", type=int, help="override SAA sample count M")
     parser.add_argument("--realizations", type=int, help="override Monte Carlo realizations")
-    parser.add_argument("--strategies", type=str, help="comma-separated strategy list")
+    parser.add_argument("--strategies", type=_names, help="comma-separated strategy list")
     parser.add_argument("--threads", type=int, default=1, help="worker processes")
     parser.add_argument("--max-iters", type=int, help="override AO iteration cap")
     parser.add_argument("--eps", type=float, help="override AO convergence epsilon")
@@ -71,31 +86,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
-    if args.config is not None:
-        spec = load_config(args.config)
-    else:
+    """The config file with the override flags written in, checked as one config."""
+    if args.config is None:
         raise ConfigError("--config is required for this command")
-    updates: dict = {}
-    if args.seed is not None:
-        updates["system"] = dataclasses.replace(spec.system, master_seed=args.seed)
-    if args.samples is not None:
-        updates["sample_count"] = args.samples
-    if args.realizations is not None:
-        updates["num_realizations"] = args.realizations
-    if args.strategies is not None:
-        updates["strategies"] = parse_strategies(
-            s.strip() for s in args.strategies.split(",") if s.strip()
-        )
-    ao_updates = {}
-    if args.max_iters is not None:
-        ao_updates["max_iterations"] = args.max_iters
-    if args.eps is not None:
-        ao_updates["convergence_eps"] = args.eps
-    if ao_updates:
-        updates["ao"] = dataclasses.replace(spec.ao, **ao_updates)
-    if updates:
-        spec = dataclasses.replace(spec, **updates)
-    return spec
+    if args.threads < 1:
+        raise ConfigError("--threads must be >= 1")
+    config = load_config(args.config)
+    for flag, (section, key) in _OVERRIDES.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        target = config if section is None else config.setdefault(section, {})
+        # A section that is not an object is left for spec_from_dict to reject.
+        if isinstance(target, dict):
+            target[key] = value
+    return spec_from_dict(config)
 
 
 def _cmd_region(args: argparse.Namespace) -> int:
@@ -123,6 +128,8 @@ def _cmd_esr_alpha(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args)
     (strategy,) = parse_strategies([args.strategy])
+    if args.realization < 0:
+        raise ConfigError("--realization must be >= 0")
     cfg = spec.system
     estimate = draw_estimate(cfg, args.realization)
     samples = draw_sample_set(cfg, estimate, spec.sample_count, args.realization)
@@ -148,6 +155,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     checks = validate(seed=args.seed)
     all_ok = True
     for check in checks:

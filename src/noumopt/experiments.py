@@ -1,4 +1,4 @@
-"""Experiment harness: Monte Carlo ergodic rates, rate regions, alpha sweeps.
+"""Experiment harness: Monte Carlo rate-region and ESR-versus-alpha sweeps.
 
 Every study fans out independent (strategy, grid point, realization) tasks,
 each fully determined by the master seed and its indices, and collects the
@@ -11,8 +11,10 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -85,6 +87,9 @@ class ExperimentSpec:
             raise ConfigError("threshold_schedule needs one entry per alpha grid point")
         if self.precoder_mode not in ("ao", "fixed-mrt"):
             raise ConfigError("precoder_mode must be 'ao' or 'fixed-mrt'")
+        if (self.precoder_mode == "ao" and self.system.num_users > self.ao.order_cap
+                and any(s.uses_dpc for s in self.strategies)):
+            raise ConfigError("num_users exceeds ao.order_cap for a DPC-family strategy")
 
     def resolved_unicast_thresholds(self) -> np.ndarray:
         if self.unicast_thresholds is None:
@@ -116,22 +121,40 @@ def parse_strategies(names) -> tuple[Strategy, ...]:
         raise ConfigError(f"unknown strategy: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """An integral JSON number; booleans and fractions are errors, not truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _system_config(section) -> SystemConfig:
     section = dict(section)
     _check_keys(section, _SYSTEM_KEYS, "system")
     return SystemConfig(
-        num_users=int(section["num_users"]),
-        num_tx_antennas=int(section["num_tx_antennas"]),
+        num_users=_integer(section["num_users"]),
+        num_tx_antennas=_integer(section["num_tx_antennas"]),
         snr_db=float(section["snr_db"]),
         csit_alpha=float(section["csit_alpha"]),
         channel_variances=tuple(float(v) for v in section["channel_variances"]),
-        master_seed=int(section.get("master_seed", 0)),
+        master_seed=_integer(section.get("master_seed", 0)),
     )
 
 
 def _ao_config(section) -> AoConfig:
     section = dict(section)
     _check_keys(section, _AO_KEYS, "ao")
+    for key in ("max_iterations", "order_cap"):
+        if key in section:
+            section[key] = _integer(section[key])
     return AoConfig(**section)
 
 
@@ -147,8 +170,8 @@ def _optional_floats(values) -> tuple[float, ...] | None:
 _CONVERTERS = {
     "system": _system_config,
     "strategies": parse_strategies,
-    "sample_count": int,
-    "num_realizations": int,
+    "sample_count": _integer,
+    "num_realizations": _integer,
     "weight_grid": _floats,
     "alpha_grid": _floats,
     "multicast_threshold": float,
@@ -156,7 +179,7 @@ _CONVERTERS = {
     "threshold_schedule": _optional_floats,
     "ao": _ao_config,
     "precoder_mode": str,
-    "convex_hull": bool,
+    "convex_hull": _boolean,
 }
 
 
@@ -178,12 +201,15 @@ def spec_from_dict(config: dict) -> ExperimentSpec:
     return ExperimentSpec(**kwargs)
 
 
-def load_config(path: str | Path) -> ExperimentSpec:
+def load_config(path: str | Path) -> dict:
+    """Read a JSON config file into the mapping that ``spec_from_dict`` takes."""
     try:
         config = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return spec_from_dict(config)
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    return config
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
@@ -342,92 +368,45 @@ def _finalize(
     return records
 
 
-@dataclass(frozen=True)
-class ErgodicRates:
-    """Monte Carlo ergodic rates for one (strategy, weights) configuration."""
-
-    per_user: np.ndarray
-    per_user_se: np.ndarray
-    esr: float
-    esr_se: float
-    records: tuple[ResultRecord, ...]
-
-
-def ergodic_rates(
+def _sweep(
     spec: ExperimentSpec,
-    strategy: Strategy,
-    weights: np.ndarray,
-    alpha: float | None = None,
-    unicast_thresholds: np.ndarray | None = None,
-    threads: int = 1,
-) -> ErgodicRates:
-    """Mean per-user totals and weighted sum over the Monte Carlo realizations.
+    experiment_id: str,
+    points: list[tuple[float, float, tuple[float, ...], tuple[float, ...]]],
+    threads: int,
+) -> list[ResultRecord]:
+    """Run every (strategy, grid point, realization) task and aggregate the rows.
 
-    Infeasible realizations are skipped from the means but kept as records;
-    raises when every realization is infeasible.
+    Each grid point is (alpha, weight_u2, weights, unicast thresholds).  Tasks
+    are strategy-major, then grid point, then realization.  Every point's
+    system is built before any task starts, so a grid value that a task would
+    reject is a ConfigError, not a mid-sweep failure.
     """
-    alpha = spec.system.csit_alpha if alpha is None else float(alpha)
-    if unicast_thresholds is None:
-        unicast_thresholds = spec.resolved_unicast_thresholds()
-    tasks = [
-        _Task(
-            index=r,
-            spec=spec,
-            strategy=strategy,
-            grid_index=0,
-            alpha=alpha,
-            weight_u2=float("nan"),
-            weights=tuple(float(w) for w in np.asarray(weights)),
-            unicast_thresholds=tuple(float(t) for t in unicast_thresholds),
-            realization=r,
-        )
-        for r in range(spec.num_realizations)
-    ]
-    rows = _execute(tasks, threads)
-    records = _finalize(spec, "ergodic", rows)
-    k = spec.system.num_users
-    totals = np.full((spec.num_realizations, k), np.nan)
-    for rec in records:
-        totals[rec.realization, rec.user] = rec.rate_total
-    feasible = ~np.isnan(totals[:, 0])
-    if not np.any(feasible):
-        raise InfeasibleEverywhereError("all realizations infeasible")
-    per_user = totals[feasible].mean(axis=0)
-    n = int(np.count_nonzero(feasible))
-    per_user_se = (
-        totals[feasible].std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(k)
+    for alpha, *_ in points:
+        try:
+            replace(spec.system, csit_alpha=alpha)
+        except ValueError as exc:
+            raise ConfigError(f"invalid grid point alpha={alpha!r}: {exc}") from exc
+    combos = itertools.product(
+        spec.strategies, enumerate(points), range(spec.num_realizations)
     )
-    weighted = totals[feasible] @ np.asarray(weights, dtype=float)
-    esr = float(np.mean(weighted))
-    esr_se = float(np.std(weighted, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return ErgodicRates(per_user, per_user_se, esr, esr_se, tuple(records))
+    tasks = [
+        _Task(index, spec, strategy, g_idx, alpha, weight_u2, weights, thresholds, r)
+        for index, (strategy, (g_idx, (alpha, weight_u2, weights, thresholds)), r)
+        in enumerate(combos)
+    ]
+    return _finalize(spec, experiment_id, _execute(tasks, threads))
 
 
 def run_region(spec: ExperimentSpec, threads: int = 1) -> list[ResultRecord]:
     """Two-user rate-region sweep over the weight grid (u1 = 1, u2 gridded)."""
     if spec.system.num_users != 2:
         raise ConfigError("rate-region mode requires exactly two users")
-    experiment_id = f"region-{config_hash(spec)[:12]}"
     thresholds = tuple(float(t) for t in spec.resolved_unicast_thresholds())
-    tasks = []
-    for s_idx, strategy in enumerate(spec.strategies):
-        for g_idx, u2 in enumerate(sorted(spec.weight_grid)):
-            for r in range(spec.num_realizations):
-                tasks.append(
-                    _Task(
-                        index=len(tasks),
-                        spec=spec,
-                        strategy=strategy,
-                        grid_index=g_idx,
-                        alpha=spec.system.csit_alpha,
-                        weight_u2=float(u2),
-                        weights=(1.0, float(u2)),
-                        unicast_thresholds=thresholds,
-                        realization=r,
-                    )
-                )
-    rows = _execute(tasks, threads)
-    return _finalize(spec, experiment_id, rows)
+    points = [
+        (spec.system.csit_alpha, float(u2), (1.0, float(u2)), thresholds)
+        for u2 in sorted(spec.weight_grid)
+    ]
+    return _sweep(spec, f"region-{config_hash(spec)[:12]}", points, threads)
 
 
 def run_esr_alpha(spec: ExperimentSpec, threads: int = 1) -> list[ResultRecord]:
@@ -438,31 +417,15 @@ def run_esr_alpha(spec: ExperimentSpec, threads: int = 1) -> list[ResultRecord]:
     """
     if not spec.alpha_grid:
         raise ConfigError("esr-alpha mode requires a non-empty alpha_grid")
-    experiment_id = f"esr-alpha-{config_hash(spec)[:12]}"
     k = spec.system.num_users
-    tasks = []
-    for strategy in spec.strategies:
-        for g_idx, alpha in enumerate(spec.alpha_grid):
-            if spec.threshold_schedule is not None:
-                thresholds = (float(spec.threshold_schedule[g_idx]),) * k
-            else:
-                thresholds = tuple(float(t) for t in spec.resolved_unicast_thresholds())
-            for r in range(spec.num_realizations):
-                tasks.append(
-                    _Task(
-                        index=len(tasks),
-                        spec=spec,
-                        strategy=strategy,
-                        grid_index=g_idx,
-                        alpha=float(alpha),
-                        weight_u2=float("nan"),
-                        weights=(1.0,) * k,
-                        unicast_thresholds=thresholds,
-                        realization=r,
-                    )
-                )
-    rows = _execute(tasks, threads)
-    return _finalize(spec, experiment_id, rows)
+    thresholds = tuple(float(t) for t in spec.resolved_unicast_thresholds())
+    schedule = spec.threshold_schedule
+    points = [
+        (float(alpha), float("nan"), (1.0,) * k,
+         thresholds if schedule is None else (float(schedule[g_idx]),) * k)
+        for g_idx, alpha in enumerate(spec.alpha_grid)
+    ]
+    return _sweep(spec, f"esr-alpha-{config_hash(spec)[:12]}", points, threads)
 
 
 # ---------------------------------------------------------------------------

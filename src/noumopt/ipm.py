@@ -21,6 +21,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 _RIDGE = 1e-12
+# Centering factors: the primal-dual surrogate-gap target divisor and the
+# barrier method's per-outer-step growth of t.
+_PD_MU = 10.0
+_BARRIER_MU = 20.0
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,7 @@ class QuadraticForm:
 class IpmResult:
     z: np.ndarray
     lam: np.ndarray
-    status: str                  # optimal | stalled | max_iter | early
+    status: str                  # optimal | stalled | max_iter | early (phase-1 only)
     iterations: int
     gap: float
     gap_trace: list[float] = field(default_factory=list)
@@ -83,19 +87,13 @@ def solve_primal_dual(
     constraints: Sequence[QuadraticForm],
     z0: np.ndarray,
     tol: float = 1e-8,
-    feas_tol: float | None = None,
     max_iter: int = 200,
-    mu: float = 10.0,
-    early_stop: Callable[[np.ndarray], bool] | None = None,
 ) -> IpmResult:
     """Primal-dual interior-point iteration from a strictly feasible z0.
 
     Terminates when the surrogate duality gap and the dual-residual norm
-    both fall below tolerance.  ``early_stop`` (used by phase-1) aborts as
-    soon as the current primal point satisfies the caller's test.
+    both fall below tolerance.
     """
-    if feas_tol is None:
-        feas_tol = tol
     m = len(constraints)
     z = np.asarray(z0, dtype=float).copy()
     fvals = _values(constraints, z)
@@ -109,19 +107,16 @@ def solve_primal_dual(
     status = "max_iter"
     it = 0
     for it in range(1, max_iter + 1):
-        if early_stop is not None and early_stop(z):
-            status = "early"
-            break
         J = _jacobian(constraints, z)
         eta = float(-fvals @ lam)
         gap_trace.append(eta)
-        t_hat = mu * m / max(eta, 1e-300)
+        t_hat = _PD_MU * m / max(eta, 1e-300)
         r_dual = objective.grad(z) + J.T @ lam
         r_cent = -lam * fvals - 1.0 / t_hat
         # Stop on the KKT contract: complementarity per element (or the
         # aggregate gap) plus dual feasibility.
         comp = float(np.max(np.abs(lam * fvals)))
-        if min(eta, comp) <= tol and np.linalg.norm(r_dual, np.inf) <= feas_tol:
+        if min(eta, comp) <= tol and np.linalg.norm(r_dual, np.inf) <= tol:
             status = "optimal"
             break
 
@@ -170,7 +165,6 @@ def solve_barrier(
     z0: np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 400,
-    mu: float = 20.0,
     early_stop: Callable[[np.ndarray], bool] | None = None,
 ) -> IpmResult:
     """Log-barrier Newton fallback (outer loop on t, inner centering).
@@ -226,7 +220,7 @@ def solve_barrier(
             if total_newton >= max_iter:
                 break
         gap_trace.append(m / t)
-        t *= mu
+        t *= _BARRIER_MU
     else:
         if m / t > tol:
             status = "max_iter"

@@ -227,11 +227,6 @@ def sampled_average_rates(
     return RateReport(common.mean(axis=0), private.mean(axis=0))
 
 
-def common_rate_bound(report: RateReport) -> float:
-    """min_k of the per-user common-stream average rates."""
-    return report.common_bound
-
-
 def total_unicast_rates(report: RateReport, alloc: CommonRateAlloc, tol: float = 1e-9) -> np.ndarray:
     """Per-user unicast totals C_k + private AR; rejects invalid allocations."""
     if alloc.rates.shape[0] != report.num_users + 1:

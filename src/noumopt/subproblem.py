@@ -359,7 +359,6 @@ def solve(
     spec: SubproblemSpec,
     tol: float = 1e-8,
     initial: PrecoderSet | None = None,
-    max_iter: int = 200,
 ) -> SubproblemSolution:
     """Solve the QCQP to a KKT residual <= tol (or detect infeasibility).
 
@@ -378,13 +377,9 @@ def solve(
                 multipliers=None, infeasibility=worst,
             )
 
-    res: IpmResult = solve_primal_dual(
-        spec.objective, spec.constraints, z0, tol=tol / 2, feas_tol=tol / 2, max_iter=max_iter
-    )
+    res: IpmResult = solve_primal_dual(spec.objective, spec.constraints, z0, tol=tol / 2)
     if res.status in ("stalled", "max_iter"):
-        fallback = solve_barrier(
-            spec.objective, spec.constraints, res.z, tol=tol / 2, max_iter=2 * max_iter
-        )
+        fallback = solve_barrier(spec.objective, spec.constraints, res.z, tol=tol / 2)
         if fallback.gap <= res.gap:
             res = fallback
 
@@ -398,7 +393,7 @@ def solve(
     elif spec.num_slack > 1:
         chat_bits = -xhat / LN2
     chat_bits[chat_bits < 1e-9] = 0.0
-    status = "optimal" if res.status in ("optimal", "early") else "max_iter"
+    status = "optimal" if res.status == "optimal" else "max_iter"
     if status == "max_iter" and max(stationarity, primal, complementarity) <= tol:
         status = "optimal"
     return SubproblemSolution(

@@ -13,7 +13,6 @@ from noumopt import (
     draw_sample_set,
     initialize_precoders,
     optimize,
-    optimize_over_orders,
     optimize_strategy,
     solve,
     update_equalizers_weights,
@@ -175,7 +174,7 @@ class TestOrders:
         est = draw_estimate(cfg, 0)
         samples = draw_sample_set(cfg, est, 4, 0)
         ao = quick_ao(max_iterations=60)
-        best = optimize_over_orders(cfg, Strategy.DPC, est, samples, np.array([1.0]), ao=ao)
+        best = optimize_strategy(cfg, Strategy.DPC, est, samples, np.array([1.0]), ao=ao)
         direct = optimize(cfg, Strategy.DPC, est, samples, np.array([1.0]), order=(0,), ao=ao)
         assert best.order == (0,)
         assert best.wasr == pytest.approx(direct.wasr, abs=1e-12)
@@ -186,7 +185,7 @@ class TestOrders:
         samples = draw_sample_set(cfg, est, 8, 0)
         ao = quick_ao(max_iterations=60)
         u = np.ones(2)
-        best = optimize_over_orders(cfg, Strategy.DPC, est, samples, u, ao=ao)
+        best = optimize_strategy(cfg, Strategy.DPC, est, samples, u, ao=ao)
         per_order = [
             optimize(cfg, Strategy.DPC, est, samples, u, order=o, ao=ao)
             for o in ((0, 1), (1, 0))
@@ -215,11 +214,9 @@ class TestOrders:
         cfg = SystemConfig(2, 2, 15.0, 0.6, (1.0, 1.0), 1)
         est = draw_estimate(cfg, 0)
         samples = draw_sample_set(cfg, est, 4, 0)
-        with pytest.raises(ValueError):
-            optimize_over_orders(cfg, Strategy.RS1, est, samples, np.ones(2))
         tight = AoConfig(order_cap=1)
         with pytest.raises(ValueError):
-            optimize_over_orders(cfg, Strategy.DPC, est, samples, np.ones(2), ao=tight)
+            optimize_strategy(cfg, Strategy.DPC, est, samples, np.ones(2), ao=tight)
         with pytest.raises(ValueError):
             optimize(cfg, Strategy.DPC, est, samples, np.ones(2), order=None)
 
@@ -248,7 +245,7 @@ class TestWaterFillingOracle:
             step = grid[1] - grid[0]
             lo, hi = max(0.0, best[1] - 2 * step), min(p_t, best[1] + 2 * step)
 
-        res = optimize_over_orders(
+        res = optimize_strategy(
             cfg, Strategy.DPC, est, samples, np.ones(2), ao=quick_ao(max_iterations=300, eps=1e-6)
         )
         assert res.wasr == pytest.approx(best[0], abs=1e-3)

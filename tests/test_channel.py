@@ -58,6 +58,8 @@ class TestConfigValidation:
             make_cfg(channel_variances=(1.0,))
         with pytest.raises(ValueError):
             make_cfg(channel_variances=(1.0, 0.0))
+        with pytest.raises(ValueError):
+            make_cfg(master_seed=-1)
 
     def test_transmit_power(self):
         assert make_cfg(snr_db=20.0).transmit_power == pytest.approx(100.0)
@@ -100,9 +102,9 @@ class TestDrawEstimate:
 
     def test_negative_effective_variance_rejected(self):
         # P_t < 1 with alpha > 0 pushes sigma_e^2 above sigma^2.
-        cfg = make_cfg(snr_db=-10.0, csit_alpha=1.0)
         with pytest.raises(ValueError):
-            draw_estimate(cfg, 0)
+            make_cfg(snr_db=-10.0, csit_alpha=1.0)
+        assert np.all(draw_estimate(make_cfg(snr_db=-10.0, csit_alpha=0.0), 0).matrix == 0)
 
     def test_alpha_zero_gives_zero_estimate(self):
         cfg = make_cfg(csit_alpha=0.0)

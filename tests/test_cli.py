@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import noumopt
+from noumopt import cli, experiments
 from noumopt.cli import main
 
 
@@ -49,10 +50,58 @@ class TestExitCodes:
         pytest.param({"ao": {"init_scheme": "mrt-svd"}}, id="ao-init-scheme"),
         pytest.param({"ao": {"subproblem_tol": 0.0}}, id="ao-zero-tol"),
         pytest.param({"ao": {"order_cap": 0}}, id="ao-zero-order-cap"),
+        pytest.param({"ao": {"order_cap": 1}, "strategies": ["dpc"]}, id="ao-order-cap-below-k"),
+        pytest.param({"convex_hull": "false"}, id="convex-hull-text"),
+        pytest.param({"convex_hull": 1}, id="convex-hull-number"),
+        pytest.param({"sample_count": 2.5}, id="sample-count-fraction"),
+        pytest.param({"sample_count": True}, id="sample-count-bool"),
+        pytest.param({"num_realizations": 1.5}, id="realizations-fraction"),
+        pytest.param({"system": {**GOOD["system"], "num_users": 2.7}}, id="num-users-fraction"),
+        pytest.param({"system": {**GOOD["system"], "num_tx_antennas": True}},
+                     id="antennas-bool"),
+        pytest.param({"system": {**GOOD["system"], "master_seed": 3.5}}, id="seed-fraction"),
+        pytest.param({"system": {**GOOD["system"], "master_seed": -1}}, id="seed-negative"),
+        pytest.param({"system": {**GOOD["system"], "snr_db": -3.0}}, id="snr-below-0-db"),
+        pytest.param({"ao": {"max_iterations": 2.5}}, id="ao-max-iterations-fraction"),
+        pytest.param({"ao": {"max_iterations": True}}, id="ao-max-iterations-bool"),
     ])
-    def test_unknown_key_is_config_error(self, tmp_path, update):
+    def test_unknown_key_is_config_error(self, tmp_path, update, capsys):
         cfg = write_config(tmp_path, {**GOOD, **update})
         assert main(["region", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, update, flags", [
+        pytest.param("region", {}, ["--seed", "-1"], id="seed-flag-negative"),
+        pytest.param("region", {}, ["--eps", "0"], id="eps-zero"),
+        pytest.param("region", {}, ["--max-iters", "0"], id="max-iters-zero"),
+        pytest.param("region", {}, ["--threads", "0"], id="threads-zero"),
+        pytest.param("esr-alpha", {"alpha_grid": [0.5, -0.1]}, [], id="alpha-grid-negative"),
+        pytest.param("esr-alpha", {"alpha_grid": [0.0, 0.5],
+                                   "system": {**GOOD["system"], "snr_db": -3.0,
+                                              "csit_alpha": 0.0}},
+                     [], id="snr-below-0-db-alpha-grid"),
+        pytest.param("solve", {}, ["--realization", "-1"], id="solve-realization-negative"),
+        pytest.param("validate", None, ["--seed", "-1"], id="validate-seed-negative"),
+    ])
+    def test_rejected_before_any_task(self, tmp_path, monkeypatch, capsys, command, update, flags):
+        def no_task(*args, **kwargs):
+            raise AssertionError("a task started")
+
+        monkeypatch.setattr(experiments, "optimize_strategy", no_task)
+        monkeypatch.setattr(cli, "optimize_strategy", no_task)
+        argv = [command, *flags]
+        if update is not None:
+            argv += ["--config", str(write_config(tmp_path, {**GOOD, **update})),
+                     "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hull", [False, True])
+    def test_convex_hull_flag(self, tmp_path, hull):
+        cfg = write_config(tmp_path, {**GOOD, "convex_hull": hull})
+        assert main(["region", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "region_hull.csv").exists() == hull
 
     def test_missing_config_flag(self, tmp_path):
         assert main(["region", "--out", str(tmp_path)]) == 1

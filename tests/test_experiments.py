@@ -15,7 +15,6 @@ from noumopt.experiments import (
     InfeasibleEverywhereError,
     alpha_curves,
     config_hash,
-    ergodic_rates,
     load_config,
     region_points,
     run_esr_alpha,
@@ -90,16 +89,20 @@ class TestConfigParsing:
 
 
 class TestErgodicRates:
+    """Ergodic rates of one strategy: a one-point alpha sweep at the system's alpha."""
+
     def test_single_realization_equals_ar_totals(self):
-        spec = spec_from_dict(base_config(num_realizations=1, strategies=["mulp"]))
-        er = ergodic_rates(spec, Strategy.MULP, np.ones(2))
+        spec = spec_from_dict(
+            base_config(num_realizations=1, strategies=["mulp"], alpha_grid=[0.6])
+        )
+        records = run_esr_alpha(spec)
         cfg = spec.system
         est = draw_estimate(cfg, 0)
         samples = draw_sample_set(cfg, est, spec.sample_count, 0)
         res = optimize_strategy(cfg, Strategy.MULP, est, samples, np.ones(2), ao=spec.ao)
-        assert er.per_user == pytest.approx(res.totals(), abs=1e-12)
-        assert er.esr == pytest.approx(res.wasr, abs=1e-12)
-        assert er.esr_se == 0.0
+        assert [r.rate_total for r in records] == pytest.approx(res.totals(), abs=1e-12)
+        assert records[0].esr == pytest.approx(res.wasr, abs=1e-12)
+        assert records[0].se == 0.0
 
     def test_fixed_mrt_matches_exponential_integral_oracle(self):
         # Scalar single-user with alpha=0: every channel sample is CN(0,1) and
@@ -118,11 +121,12 @@ class TestErgodicRates:
             "strategies": ["mulp"],
             "sample_count": 400,
             "num_realizations": 5,
+            "alpha_grid": [0.0],
             "precoder_mode": "fixed-mrt",
         })
-        er = ergodic_rates(spec, Strategy.MULP, np.ones(1))
-        slack = 3.0 * max(er.esr_se, 1e-6)
-        assert abs(er.esr - oracle) <= slack
+        record = run_esr_alpha(spec)[0]
+        slack = 3.0 * max(record.se, 1e-6)
+        assert abs(record.esr - oracle) <= slack
 
     def test_partial_infeasibility_recorded(self):
         # Seed 1: realization 0 cannot carry the multicast threshold, 1 can.
@@ -132,14 +136,15 @@ class TestErgodicRates:
             "strategies": ["rs1"],
             "sample_count": 32,
             "num_realizations": 2,
+            "alpha_grid": [0.6],
             "multicast_threshold": 4.6,
             "ao": {"max_iterations": 40},
         })
-        er = ergodic_rates(spec, Strategy.RS1, np.ones(1))
-        statuses = {rec.realization: rec.status for rec in er.records}
+        records = run_esr_alpha(spec)
+        statuses = {rec.realization: rec.status for rec in records}
         assert statuses[0] == "infeasible"
         assert statuses[1] in ("converged", "max_iter")
-        infeasible_rows = [rec for rec in er.records if rec.status == "infeasible"]
+        infeasible_rows = [rec for rec in records if rec.status == "infeasible"]
         assert infeasible_rows and all(math.isnan(r.rate_total) for r in infeasible_rows)
 
     def test_all_infeasible_raises(self):
@@ -149,11 +154,12 @@ class TestErgodicRates:
             "strategies": ["rs1"],
             "sample_count": 16,
             "num_realizations": 2,
+            "alpha_grid": [0.6],
             "multicast_threshold": 25.0,
             "ao": {"max_iterations": 30},
         })
         with pytest.raises(InfeasibleEverywhereError):
-            ergodic_rates(spec, Strategy.RS1, np.ones(1))
+            run_esr_alpha(spec)
 
 
 class TestRegionRun:
@@ -236,6 +242,29 @@ class TestEsrAlphaRun:
         assert alphas == [0.2, 0.8]
         assert all(math.isnan(r.weight_u2) for r in records)
 
+    def test_group_aggregate_over_feasible_realizations(self):
+        # Seed 1: realization 3 cannot carry the multicast threshold, 0-2 can.
+        spec = spec_from_dict({
+            "system": {"num_users": 2, "num_tx_antennas": 2, "snr_db": 20.0,
+                       "csit_alpha": 0.6, "channel_variances": [1.0, 1.0], "master_seed": 1},
+            "strategies": ["rs1"],
+            "sample_count": 16,
+            "num_realizations": 4,
+            "alpha_grid": [0.6],
+            "multicast_threshold": 5.0,
+            "ao": {"max_iterations": 30},
+        })
+        records = run_esr_alpha(spec)
+        per_realization = np.zeros(spec.num_realizations)
+        for rec in records:
+            per_realization[rec.realization] += rec.rate_total  # unit weights
+        assert [math.isnan(v) for v in per_realization] == [False, False, False, True]
+        feasible = per_realization[:3]
+        se = np.std(feasible, ddof=1) / np.sqrt(feasible.size)
+        for rec in records:
+            assert rec.esr == pytest.approx(np.mean(feasible), rel=1e-12)
+            assert rec.se == pytest.approx(se, rel=1e-12)
+
     def test_requires_alpha_grid(self):
         spec = spec_from_dict(base_config())
         with pytest.raises(ConfigError):
@@ -251,15 +280,16 @@ class TestEsrAlphaRun:
             "strategies": ["dpc"],
             "sample_count": 1,
             "num_realizations": 1,
+            "alpha_grid": [1e6],
             "ao": {"max_iterations": 120},
         })
-        er = ergodic_rates(spec, Strategy.DPC, np.ones(2))
+        records = run_esr_alpha(spec)
         cfg = spec.system
         est = draw_estimate(cfg, 0)
         samples = draw_sample_set(cfg, est, 1, 0)
         assert np.all(samples.errors == 0)
         res = optimize_strategy(cfg, Strategy.DPC, est, samples, np.ones(2), ao=spec.ao)
-        assert er.esr == pytest.approx(res.wasr, abs=1e-12)
+        assert records[0].esr == pytest.approx(res.wasr, abs=1e-12)
 
     def test_alpha_curves_accessor(self):
         spec = spec_from_dict({

@@ -8,7 +8,6 @@ from noumopt import (
     SampleSet,
     Strategy,
     SystemConfig,
-    common_rate_bound,
     draw_estimate,
     draw_sample_set,
     instantaneous_common_rate,
@@ -193,11 +192,11 @@ class TestSampledAverages:
 class TestBoundAllocAndWasr:
     def test_common_bound(self):
         rep = RateReport(np.array([2.0, 1.5, 1.7]), np.zeros(3))
-        assert common_rate_bound(rep) == 1.5
+        assert rep.common_bound == 1.5
         rep_eq = RateReport(np.array([1.2, 1.2]), np.zeros(2))
-        assert common_rate_bound(rep_eq) == 1.2
+        assert rep_eq.common_bound == 1.2
         rep_one = RateReport(np.array([0.8]), np.zeros(1))
-        assert common_rate_bound(rep_one) == 0.8
+        assert rep_one.common_bound == 0.8
         assert rep.common_bound <= np.min(rep.common_per_user)
 
     def test_totals(self):
