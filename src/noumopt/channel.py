@@ -13,7 +13,7 @@ numbers across CSIT-quality sweeps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,11 +85,16 @@ class SampleSet:
     """Estimate plus M error draws and the implied channel realizations.
 
     realizations[m] = estimate + errors[m], entry-wise and exactly.
+    ``realizations_h`` and ``errors_h`` hold the same draws conjugated, in a
+    read-only C-contiguous (M, K, N_t) layout: row [m, k] is h_k^H of sample
+    m, the left operand of every inner product h_k^H p.
     """
 
     estimate: ChannelEstimate
     errors: np.ndarray        # (M, N_t, K)
     realizations: np.ndarray  # (M, N_t, K)
+    errors_h: np.ndarray = field(init=False, repr=False)        # (M, K, N_t)
+    realizations_h: np.ndarray = field(init=False, repr=False)  # (M, K, N_t)
 
     def __post_init__(self):
         if self.errors.shape != self.realizations.shape:
@@ -98,6 +103,10 @@ class SampleSet:
             raise ValueError("sample count must be >= 1")
         if self.errors.shape[1:] != self.estimate.matrix.shape:
             raise ValueError("sample shape must match the estimate")
+        for name in ("errors", "realizations"):
+            conjugated = np.conj(getattr(self, name).transpose(0, 2, 1), order="C")
+            conjugated.flags.writeable = False
+            object.__setattr__(self, name + "_h", conjugated)
 
     @property
     def sample_count(self) -> int:

@@ -3,7 +3,8 @@
 Subcommands:
     region     two-user rate-region sweep over the weight grid
     esr-alpha  ergodic sum rate versus CSIT quality sweep
-    solve      optimize a single channel realization and print the result
+    solve      optimize a single channel realization with unit weights and
+               print the result
     validate   run the acceptance checks at smaller counts
 
 Exit codes: 0 success, 1 invalid config, 2 infeasible everywhere,
@@ -59,13 +60,19 @@ _OVERRIDES = {
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON config file")
     parser.add_argument("--seed", type=int, help="override master seed")
-    parser.add_argument("--out", type=Path, default=Path("results"), help="output directory")
     parser.add_argument("--samples", type=int, help="override SAA sample count M")
     parser.add_argument("--realizations", type=int, help="override Monte Carlo realizations")
     parser.add_argument("--strategies", type=_names, help="comma-separated strategy list")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes")
     parser.add_argument("--max-iters", type=int, help="override AO iteration cap")
     parser.add_argument("--eps", type=float, help="override AO convergence epsilon")
+
+
+_COMMAND_HELP = {
+    "region": "two-user rate-region sweep over the config's weight_grid",
+    "esr-alpha": "ergodic sum rate sweep over the config's alpha_grid",
+    "solve": "optimize one realization with unit weights and print a JSON summary "
+             "(weight_grid is a sweep grid and is not read)",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,12 +81,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Precoder optimization studies for unicast+multicast MISO downlink",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("region", "esr-alpha", "solve"):
-        p = sub.add_parser(name)
+    for name, text in _COMMAND_HELP.items():
+        p = sub.add_parser(name, help=text, description=text)
         _add_common_flags(p)
         if name == "solve":
             p.add_argument("--strategy", type=str, default="dpcrs1")
             p.add_argument("--realization", type=int, default=0)
+        else:
+            p.add_argument("--out", type=Path, default=Path("results"), help="output directory")
+            p.add_argument("--threads", type=int, default=1, help="worker processes")
     p_val = sub.add_parser("validate")
     p_val.add_argument("--seed", type=int, default=0)
     return parser
@@ -89,8 +99,6 @@ def _resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
     """The config file with the override flags written in, checked as one config."""
     if args.config is None:
         raise ConfigError("--config is required for this command")
-    if args.threads < 1:
-        raise ConfigError("--threads must be >= 1")
     config = load_config(args.config)
     for flag, (section, key) in _OVERRIDES.items():
         value = getattr(args, flag)
@@ -103,8 +111,15 @@ def _resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
     return spec_from_dict(config)
 
 
+def _sweep_spec(args: argparse.Namespace) -> ExperimentSpec:
+    """``_resolve_spec`` for the sweep commands, which also take ``--threads``."""
+    if args.threads < 1:
+        raise ConfigError("--threads must be >= 1")
+    return _resolve_spec(args)
+
+
 def _cmd_region(args: argparse.Namespace) -> int:
-    spec = _resolve_spec(args)
+    spec = _sweep_spec(args)
     records = run_region(spec, threads=args.threads)
     out = Path(args.out)
     write_csv(records, out / "region.csv")
@@ -116,7 +131,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
 
 
 def _cmd_esr_alpha(args: argparse.Namespace) -> int:
-    spec = _resolve_spec(args)
+    spec = _sweep_spec(args)
     records = run_esr_alpha(spec, threads=args.threads)
     out = Path(args.out)
     write_csv(records, out / "esr_alpha.csv")

@@ -104,7 +104,6 @@ _SYSTEM_KEYS = {
     "num_users", "num_tx_antennas", "snr_db", "csit_alpha",
     "channel_variances", "master_seed",
 }
-_AO_KEYS = {f.name for f in dataclasses.fields(AoConfig)}
 
 
 def _check_keys(mapping: dict, allowed: set, where: str) -> None:
@@ -130,10 +129,26 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A JSON number as a float; booleans, strings and null are errors."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _boolean(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"expected true or false, got {value!r}")
     return value
+
+
+# One converter per AoConfig field; together they are the allowed "ao" keys.
+_AO_CONVERTERS = {
+    "convergence_eps": _real,
+    "max_iterations": _integer,
+    "subproblem_tol": _real,
+    "order_cap": _integer,
+}
 
 
 def _system_config(section) -> SystemConfig:
@@ -142,24 +157,21 @@ def _system_config(section) -> SystemConfig:
     return SystemConfig(
         num_users=_integer(section["num_users"]),
         num_tx_antennas=_integer(section["num_tx_antennas"]),
-        snr_db=float(section["snr_db"]),
-        csit_alpha=float(section["csit_alpha"]),
-        channel_variances=tuple(float(v) for v in section["channel_variances"]),
+        snr_db=_real(section["snr_db"]),
+        csit_alpha=_real(section["csit_alpha"]),
+        channel_variances=_floats(section["channel_variances"]),
         master_seed=_integer(section.get("master_seed", 0)),
     )
 
 
 def _ao_config(section) -> AoConfig:
     section = dict(section)
-    _check_keys(section, _AO_KEYS, "ao")
-    for key in ("max_iterations", "order_cap"):
-        if key in section:
-            section[key] = _integer(section[key])
-    return AoConfig(**section)
+    _check_keys(section, set(_AO_CONVERTERS), "ao")
+    return AoConfig(**{key: _AO_CONVERTERS[key](value) for key, value in section.items()})
 
 
 def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    return tuple(_real(v) for v in values)
 
 
 def _optional_floats(values) -> tuple[float, ...] | None:
@@ -174,7 +186,7 @@ _CONVERTERS = {
     "num_realizations": _integer,
     "weight_grid": _floats,
     "alpha_grid": _floats,
-    "multicast_threshold": float,
+    "multicast_threshold": _real,
     "unicast_thresholds": _optional_floats,
     "threshold_schedule": _optional_floats,
     "ao": _ao_config,

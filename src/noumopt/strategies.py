@@ -126,33 +126,32 @@ class RateReport:
         return float(np.min(self.common_per_user))
 
 
-def _gains(channels: np.ndarray, precoders: np.ndarray) -> np.ndarray:
-    """|h_k^H p_j|^2 for channels (..., N_t, K) and precoders (N_t, J) -> (..., K, J)."""
-    inner = np.einsum("...nk,nj->...kj", channels.conj(), precoders)
-    return np.abs(inner) ** 2
+def _stream_products(samples: SampleSet, precoders: PrecoderSet) -> np.ndarray:
+    """h_k^H p_j per (sample, user, column) -> (M, K, K+1).
 
-
-def _common_rates(channels: np.ndarray, precoders: PrecoderSet) -> np.ndarray:
-    """Common-stream rate per (..., user); identical formula for all strategies."""
-    sig = _gains(channels, precoders.common[:, np.newaxis])[..., 0]
-    interference = np.sum(_gains(channels, precoders.private), axis=-1)
-    return np.log2(1.0 + sig / (interference + 1.0))
+    Column 0 is the common stream, column 1 + j user j's private stream.
+    Every sampled rate, T and weight reads these products; none forms its own.
+    """
+    columns = np.column_stack([precoders.common, precoders.private])
+    return np.einsum("mkn,nj->mkj", samples.realizations_h, columns)
 
 
 def _private_denominators(
     strategy: Strategy,
-    channels: np.ndarray,
-    errors: np.ndarray | None,
+    samples: SampleSet,
     precoders: PrecoderSet,
+    g_true: np.ndarray,
 ) -> np.ndarray:
-    """Interference-plus-noise per (..., user) seen by each private stream."""
-    g_true = _gains(channels, precoders.private)  # (..., K, K)
+    """Interference-plus-noise per (sample, user) seen by each private stream.
+
+    ``g_true`` holds the private gains |h_k^H p_j|^2, (M, K, K).
+    """
     k_users = precoders.num_users
     own = np.arange(k_users)
     if not strategy.uses_dpc:
         return np.sum(g_true, axis=-1) - g_true[..., own, own] + 1.0
     order = precoders.require_order()
-    g_err = _gains(errors, precoders.private)
+    g_err = np.abs(np.einsum("mkn,nj->mkj", samples.errors_h, precoders.private)) ** 2
     denom = np.ones(g_true.shape[:-1])
     for pos, user in enumerate(order):
         earlier = list(order[:pos])
@@ -162,19 +161,6 @@ def _private_denominators(
         if later:
             denom[..., user] += np.sum(g_true[..., user, later], axis=-1)
     return denom
-
-
-def _private_rates(
-    strategy: Strategy,
-    channels: np.ndarray,
-    errors: np.ndarray | None,
-    precoders: PrecoderSet,
-) -> np.ndarray:
-    g_true = _gains(channels, precoders.private)
-    own = np.arange(precoders.num_users)
-    sig = g_true[..., own, own]
-    denom = _private_denominators(strategy, channels, errors, precoders)
-    return np.log2(1.0 + sig / denom)
 
 
 def instantaneous_common_rate(
@@ -222,8 +208,12 @@ def sampled_average_rates(
     precoders: PrecoderSet,
 ) -> RateReport:
     """Arithmetic mean of the instantaneous rates over the M channel samples."""
-    common = _common_rates(samples.realizations, precoders)
-    private = _private_rates(strategy, samples.realizations, samples.errors, precoders)
+    gains = np.abs(_stream_products(samples, precoders)) ** 2
+    g_true = gains[..., 1:]
+    common = np.log2(1.0 + gains[..., 0] / (np.sum(g_true, axis=-1) + 1.0))
+    own = np.arange(precoders.num_users)
+    denom = _private_denominators(strategy, samples, precoders, g_true)
+    private = np.log2(1.0 + g_true[..., own, own] / denom)
     return RateReport(common.mean(axis=0), private.mean(axis=0))
 
 

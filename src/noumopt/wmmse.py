@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SampleSet
-from .strategies import PrecoderSet, Strategy, _private_denominators
+from .strategies import PrecoderSet, Strategy, _private_denominators, _stream_products
 
 COMMON = "common"
 PRIVATE = "private"
@@ -137,16 +137,14 @@ def _sample_T(
     Returns (T_common, T_private, hp_common, hp_private), each (M, K);
     hp_* holds h^H p of the stream's own precoder.
     """
-    channels = samples.realizations
-    hp_c = np.einsum("mnk,n->mk", channels.conj(), precoders.common)
-    hp_all = np.einsum("mnk,nj->mkj", channels.conj(), precoders.private)
-    g_true = np.abs(hp_all) ** 2
+    hp = _stream_products(samples, precoders)
+    gains = np.abs(hp) ** 2
+    g_true = gains[..., 1:]
     own = np.arange(precoders.num_users)
-    hp_p = hp_all[:, own, own]
-    t_common = np.abs(hp_c) ** 2 + np.sum(g_true, axis=-1) + 1.0
-    denom = _private_denominators(strategy, channels, samples.errors, precoders)
-    t_private = denom + np.abs(hp_p) ** 2
-    return t_common, t_private, hp_c, hp_p
+    t_common = gains[..., 0] + np.sum(g_true, axis=-1) + 1.0
+    denom = _private_denominators(strategy, samples, precoders, g_true)
+    t_private = denom + g_true[..., own, own]
+    return t_common, t_private, hp[..., 0], hp[..., own, own + 1]
 
 
 def update_equalizers_weights(
@@ -199,18 +197,19 @@ class QuadCoefficients:
 
 
 def _assemble_stream(
-    channels: np.ndarray,       # (M, N_t)
-    errors: np.ndarray | None,  # (M, N_t)
-    g: np.ndarray,              # (M,)
-    w: np.ndarray,              # (M,)
-    with_phi: bool,
+    channels_h: np.ndarray,       # (M, N_t), rows h^H
+    errors_h: np.ndarray | None,  # (M, N_t), rows e^H
+    g: np.ndarray,                # (M,)
+    w: np.ndarray,                # (M,)
 ) -> StreamCoefficients:
-    m = channels.shape[0]
+    """One stream's averages; phi is assembled only when ``errors_h`` is given."""
+    m = channels_h.shape[0]
     t = w * np.abs(g) ** 2
-    psi = np.einsum("m,mi,mj->ij", t, channels, channels.conj()) / m
+    channels = channels_h.conj()
+    psi = np.einsum("mi,mj->ij", t[:, None] * channels, channels_h) / m
     phi = None
-    if with_phi:
-        phi = np.einsum("m,mi,mj->ij", t, errors, errors.conj()) / m
+    if errors_h is not None:
+        phi = np.einsum("mi,mj->ij", t[:, None] * errors_h.conj(), errors_h) / m
     f = np.einsum("m,mi->i", w * g.conj(), channels) / m
     log_w = np.log(w)
     return StreamCoefficients(
@@ -234,14 +233,13 @@ def assemble_coefficients(
     """Average t, Psi, Phi, f, w, nu over the M samples for every (user, stream)."""
     common, private = [], []
     for k in range(samples.estimate.num_users):
-        h_k = samples.realizations[:, :, k]
-        e_k = samples.errors[:, :, k]
+        h_k = samples.realizations_h[:, k]
         common.append(
-            _assemble_stream(h_k, None, equalizers.values[:, k, 0], weights.values[:, k, 0], False)
+            _assemble_stream(h_k, None, equalizers.values[:, k, 0], weights.values[:, k, 0])
         )
-        private.append(
-            _assemble_stream(h_k, e_k, equalizers.values[:, k, 1], weights.values[:, k, 1], True)
-        )
+        private.append(_assemble_stream(
+            h_k, samples.errors_h[:, k], equalizers.values[:, k, 1], weights.values[:, k, 1]
+        ))
     return QuadCoefficients(tuple(common), tuple(private), strategy, order)
 
 

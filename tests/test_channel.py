@@ -124,6 +124,16 @@ class TestSampleSet:
         s = draw_sample_set(cfg, est, 64, 0)
         assert np.array_equal(s.realizations, est.matrix[np.newaxis] + s.errors)
 
+    def test_conjugated_layouts_exact_and_read_only(self):
+        cfg = make_cfg(num_users=3, num_tx_antennas=4, channel_variances=(1.0, 0.5, 2.0))
+        s = draw_sample_set(cfg, draw_estimate(cfg, 0), 7, 0)
+        for stored, conjugated in ((s.realizations, s.realizations_h), (s.errors, s.errors_h)):
+            assert conjugated.shape == (7, 3, 4)
+            assert np.array_equal(conjugated, stored.conj().transpose(0, 2, 1))
+            assert conjugated.flags.c_contiguous
+            with pytest.raises(ValueError):
+                conjugated[0, 0, 0] = 0.0
+
     def test_deterministic(self):
         cfg = make_cfg()
         est = draw_estimate(cfg, 1)

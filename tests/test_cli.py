@@ -64,6 +64,20 @@ class TestExitCodes:
         pytest.param({"system": {**GOOD["system"], "snr_db": -3.0}}, id="snr-below-0-db"),
         pytest.param({"ao": {"max_iterations": 2.5}}, id="ao-max-iterations-fraction"),
         pytest.param({"ao": {"max_iterations": True}}, id="ao-max-iterations-bool"),
+        pytest.param({"system": {**GOOD["system"], "snr_db": True}}, id="snr-bool"),
+        pytest.param({"system": {**GOOD["system"], "csit_alpha": True}}, id="alpha-bool"),
+        pytest.param({"system": {**GOOD["system"], "channel_variances": [1.0, True]}},
+                     id="variances-bool"),
+        pytest.param({"system": {**GOOD["system"], "snr_db": "20"}}, id="snr-text"),
+        pytest.param({"multicast_threshold": True}, id="multicast-bool"),
+        pytest.param({"weight_grid": [True]}, id="weight-grid-bool"),
+        pytest.param({"alpha_grid": [0.5, False]}, id="alpha-grid-bool"),
+        pytest.param({"unicast_thresholds": [0.0, True]}, id="thresholds-bool"),
+        pytest.param({"threshold_schedule": [True]}, id="schedule-bool"),
+        pytest.param({"ao": {"convergence_eps": True}}, id="ao-eps-bool"),
+        pytest.param({"ao": {"convergence_eps": "1e-4"}}, id="ao-eps-text"),
+        pytest.param({"ao": {"subproblem_tol": True}}, id="ao-tol-bool"),
+        pytest.param({"ao": {"subproblem_tol": None}}, id="ao-tol-null"),
     ])
     def test_unknown_key_is_config_error(self, tmp_path, update, capsys):
         cfg = write_config(tmp_path, {**GOOD, **update})
@@ -71,20 +85,28 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command, update, flags", [
-        pytest.param("region", {}, ["--seed", "-1"], id="seed-flag-negative"),
-        pytest.param("region", {}, ["--eps", "0"], id="eps-zero"),
-        pytest.param("region", {}, ["--max-iters", "0"], id="max-iters-zero"),
-        pytest.param("region", {}, ["--threads", "0"], id="threads-zero"),
-        pytest.param("esr-alpha", {"alpha_grid": [0.5, -0.1]}, [], id="alpha-grid-negative"),
+    @pytest.mark.parametrize("command, update, flags, message", [
+        pytest.param("region", {}, ["--seed", "-1"], "config error", id="seed-flag-negative"),
+        pytest.param("region", {}, ["--eps", "0"], "config error", id="eps-zero"),
+        pytest.param("region", {}, ["--max-iters", "0"], "config error", id="max-iters-zero"),
+        pytest.param("region", {}, ["--threads", "0"], "config error", id="threads-zero"),
+        pytest.param("esr-alpha", {"alpha_grid": [0.5, -0.1]}, [], "config error",
+                     id="alpha-grid-negative"),
         pytest.param("esr-alpha", {"alpha_grid": [0.0, 0.5],
                                    "system": {**GOOD["system"], "snr_db": -3.0,
                                               "csit_alpha": 0.0}},
-                     [], id="snr-below-0-db-alpha-grid"),
-        pytest.param("solve", {}, ["--realization", "-1"], id="solve-realization-negative"),
-        pytest.param("validate", None, ["--seed", "-1"], id="validate-seed-negative"),
+                     [], "config error", id="snr-below-0-db-alpha-grid"),
+        pytest.param("solve", {}, ["--realization", "-1"], "config error",
+                     id="solve-realization-negative"),
+        # solve writes no files and starts no workers: argparse rejects both flags.
+        pytest.param("solve", {}, ["--out", "x"], "unrecognized arguments", id="solve-out"),
+        pytest.param("solve", {}, ["--threads", "2"], "unrecognized arguments",
+                     id="solve-threads"),
+        pytest.param("validate", None, ["--seed", "-1"], "config error",
+                     id="validate-seed-negative"),
     ])
-    def test_rejected_before_any_task(self, tmp_path, monkeypatch, capsys, command, update, flags):
+    def test_rejected_before_any_task(self, tmp_path, monkeypatch, capsys, command, update,
+                                      flags, message):
         def no_task(*args, **kwargs):
             raise AssertionError("a task started")
 
@@ -92,10 +114,11 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "optimize_strategy", no_task)
         argv = [command, *flags]
         if update is not None:
-            argv += ["--config", str(write_config(tmp_path, {**GOOD, **update})),
-                     "--out", str(tmp_path / "o")]
+            argv += ["--config", str(write_config(tmp_path, {**GOOD, **update}))]
+        if command in ("region", "esr-alpha"):
+            argv += ["--out", str(tmp_path / "o")]
         assert main(argv) == 1
-        assert "config error" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("hull", [False, True])
     def test_convex_hull_flag(self, tmp_path, hull):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -82,6 +83,12 @@ class TestConfigParsing:
         assert config_hash(spec_a) == config_hash(spec_b)
         spec_c = spec_from_dict(base_config(sample_count=9))
         assert config_hash(spec_a) != config_hash(spec_c)
+
+    def test_every_ao_field_is_a_config_key(self):
+        values = {"convergence_eps": 1e-3, "max_iterations": 7, "subproblem_tol": 1e-9,
+                  "order_cap": 3}
+        spec = spec_from_dict(base_config(ao=values))
+        assert dataclasses.asdict(spec.ao) == values
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -1,0 +1,82 @@
+"""The vectorized SAA kernels against the scalar per-sample oracles.
+
+For K = 1, 2, 3 users, every strategy and every encoding order, the sampled
+rates, the closed-form equalizers and weights, and the assembled psi, phi and
+f are recomputed sample by sample from the scalar functions.  Tolerances are
+relative (1e-12), taken against the largest entry of each compared array so
+that an entry that nearly cancels is not held to a tighter bound than its
+neighbours.
+"""
+import itertools
+
+import numpy as np
+import pytest
+
+from noumopt import (
+    COMMON,
+    PRIVATE,
+    PrecoderSet,
+    Strategy,
+    SystemConfig,
+    assemble_coefficients,
+    draw_estimate,
+    draw_sample_set,
+    effective_power_T,
+    instantaneous_common_rate,
+    instantaneous_private_rate,
+    mmse_equalizer,
+    mmse_weight,
+    sampled_average_rates,
+    update_equalizers_weights,
+)
+
+RTOL = 1e-12
+
+
+def assert_close(actual, expected):
+    expected = np.asarray(expected)
+    np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=RTOL * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kernels_equal_per_sample_oracles(k, strategy, seed):
+    rng = np.random.default_rng([k, seed])
+    n_t = int(rng.integers(1, 5))
+    m = 8 + 4 * seed
+    cfg = SystemConfig(k, n_t, 15.0, 0.5, (1.0,) * k, seed)
+    samples = draw_sample_set(cfg, draw_estimate(cfg, 0), m, 0)
+    common = rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t)
+    private = rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k))
+    orders = itertools.permutations(range(k)) if strategy.uses_dpc else [None]
+    for order in orders:
+        prec = PrecoderSet(common, private, order)
+        report = sampled_average_rates(strategy, samples, prec)
+        eq, wt = update_equalizers_weights(strategy, samples, prec)
+        coeffs = assemble_coefficients(strategy, samples, eq, wt, order)
+        for user in range(k):
+            draws = [(samples.realizations[i, :, user], samples.errors[i, :, user])
+                     for i in range(m)]
+            assert_close(
+                [report.common_per_user[user], report.private_per_user[user]],
+                [np.mean([instantaneous_common_rate(strategy, h, e, prec) for h, e in draws]),
+                 np.mean([instantaneous_private_rate(strategy, h, e, prec, user)
+                          for h, e in draws])],
+            )
+            for s_idx, stream, p in ((0, COMMON, common), (1, PRIVATE, private[:, user])):
+                T = [effective_power_T(strategy, stream, user, h, e, prec) for h, e in draws]
+                g, w = eq.values[:, user, s_idx], wt.values[:, user, s_idx]
+                assert_close(g, [mmse_equalizer(h, p, t) for (h, _), t in zip(draws, T)])
+                assert_close(w, [mmse_weight(h, p, t) for (h, _), t in zip(draws, T)])
+                t = w * np.abs(g) ** 2
+                sc = coeffs.stream(stream, user)
+                assert_close(sc.psi, sum(t[i] * np.outer(h, h.conj())
+                                         for i, (h, _) in enumerate(draws)) / m)
+                assert_close(sc.f, sum(w[i] * np.conj(g[i]) * h
+                                       for i, (h, _) in enumerate(draws)) / m)
+                if stream == COMMON:
+                    assert sc.phi is None
+                else:
+                    assert_close(sc.phi, sum(t[i] * np.outer(e, e.conj())
+                                             for i, (_, e) in enumerate(draws)) / m)
