@@ -255,7 +255,8 @@ def _greedy_alloc(
     The multicast part takes exactly its threshold (the full budget for the
     strategies with no common unicast parts), QoS shortfalls claim their
     minima, and the surplus goes to the maximum-weight users (split evenly
-    on ties).  Returns None when the budget cannot cover the requirements.
+    on ties).  Returns None when the budget cannot cover the requirements or
+    a user's total rate misses its QoS threshold.
     The subproblem's own allocation is always feasible for this little LP,
     so the greedy choice never loses WASR; re-allocating against the true
     sampled bound (the surrogate bound can only lag it) is what lets the
@@ -268,16 +269,19 @@ def _greedy_alloc(
     rates = np.zeros(k + 1)
     if not strategy.has_common_unicast:
         rates[0] = bound
-        return CommonRateAlloc(rates)
-    rates[0] = multicast_threshold
-    lower = np.maximum(0.0, unicast_thresholds - report.private_per_user)
-    surplus = bound - rates[0] - float(np.sum(lower))
-    if surplus < -1e-12:
+    else:
+        rates[0] = multicast_threshold
+        lower = np.maximum(0.0, unicast_thresholds - report.private_per_user)
+        surplus = bound - rates[0] - float(np.sum(lower))
+        if surplus < -1e-12:
+            return None
+        rates[1:] = lower
+        winners = np.flatnonzero(weights >= np.max(weights) - 1e-12)
+        rates[1 + winners] += max(surplus, 0.0) / winners.size
+    alloc = CommonRateAlloc(rates)
+    if np.any(alloc.per_user + report.private_per_user < unicast_thresholds - 1e-9):
         return None
-    rates[1:] = lower
-    winners = np.flatnonzero(weights >= np.max(weights) - 1e-12)
-    rates[1 + winners] += max(surplus, 0.0) / winners.size
-    return CommonRateAlloc(rates)
+    return alloc
 
 
 def _candidate_state(
@@ -299,10 +303,7 @@ def _candidate_state(
     alloc = _greedy_alloc(strategy, report, weights, multicast_threshold, unicast_thresholds)
     if alloc is None:
         return None
-    totals = alloc.per_user + report.private_per_user
-    if np.any(totals < unicast_thresholds - 1e-9):
-        return None
-    return wasr(weights, totals), precoders, alloc, report
+    return wasr(weights, alloc.per_user + report.private_per_user), precoders, alloc, report
 
 
 def _run_ao(
@@ -318,11 +319,14 @@ def _run_ao(
 ) -> AoResult:
     report = sampled_average_rates(strategy, samples, precoders)
     alloc = _greedy_alloc(strategy, report, weights, multicast_threshold, unicast_thresholds)
+    start_feasible = alloc is not None
     if alloc is None:
         alloc = _seed_alloc(strategy, report, multicast_threshold)
     current = wasr(weights, alloc.per_user + report.private_per_user)
     trace = [current]
-    best = (current, precoders, alloc, report)
+    start = (current, precoders, alloc, report)
+    # Only an iterate that meets the rate constraints may be returned.
+    best = start if start_feasible else None
     status = "max_iter"
     last_kkt = np.inf
 
@@ -369,12 +373,14 @@ def _run_ao(
                 step = candidate
         current, precoders, alloc, report = step
         trace.append(current)
-        if current > best[0]:
+        if best is None or current > best[0]:
             best = (current, precoders, alloc, report)
         if abs(trace[-1] - trace[-2]) <= ao.convergence_eps:
             status = "converged"
             break
 
+    if best is None:
+        status, best = "infeasible", start
     return AoResult(
         strategy=strategy,
         precoders=best[1],

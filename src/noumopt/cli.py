@@ -61,8 +61,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON config file")
     parser.add_argument("--seed", type=int, help="override master seed")
     parser.add_argument("--samples", type=int, help="override SAA sample count M")
-    parser.add_argument("--realizations", type=int, help="override Monte Carlo realizations")
-    parser.add_argument("--strategies", type=_names, help="comma-separated strategy list")
     parser.add_argument("--max-iters", type=int, help="override AO iteration cap")
     parser.add_argument("--eps", type=float, help="override AO convergence epsilon")
 
@@ -88,6 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--strategy", type=str, default="dpcrs1")
             p.add_argument("--realization", type=int, default=0)
         else:
+            p.add_argument("--realizations", type=int, help="override Monte Carlo realizations")
+            p.add_argument("--strategies", type=_names, help="comma-separated strategy list")
             p.add_argument("--out", type=Path, default=Path("results"), help="output directory")
             p.add_argument("--threads", type=int, default=1, help="worker processes")
     p_val = sub.add_parser("validate")
@@ -101,7 +101,7 @@ def _resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
         raise ConfigError("--config is required for this command")
     config = load_config(args.config)
     for flag, (section, key) in _OVERRIDES.items():
-        value = getattr(args, flag)
+        value = getattr(args, flag, None)   # the sweep-only flags are absent for solve
         if value is None:
             continue
         target = config if section is None else config.setdefault(section, {})

@@ -100,12 +100,6 @@ class ExperimentSpec:
 # ---------------------------------------------------------------------------
 # Config file handling (strict: unknown keys are errors)
 
-_SYSTEM_KEYS = {
-    "num_users", "num_tx_antennas", "snr_db", "csit_alpha",
-    "channel_variances", "master_seed",
-}
-
-
 def _check_keys(mapping: dict, allowed: set, where: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
@@ -142,6 +136,21 @@ def _boolean(value) -> bool:
     return value
 
 
+def _floats(values) -> tuple[float, ...]:
+    return tuple(_real(v) for v in values)
+
+
+# One converter per SystemConfig field; together they are the allowed "system"
+# keys.  Every field but master_seed is required.
+_SYSTEM_CONVERTERS = {
+    "num_users": _integer,
+    "num_tx_antennas": _integer,
+    "snr_db": _real,
+    "csit_alpha": _real,
+    "channel_variances": _floats,
+    "master_seed": _integer,
+}
+
 # One converter per AoConfig field; together they are the allowed "ao" keys.
 _AO_CONVERTERS = {
     "convergence_eps": _real,
@@ -151,27 +160,19 @@ _AO_CONVERTERS = {
 }
 
 
-def _system_config(section) -> SystemConfig:
+def _from_section(cls, converters: dict, section, where: str):
+    """``cls`` built from a config section, each value through its key's converter."""
     section = dict(section)
-    _check_keys(section, _SYSTEM_KEYS, "system")
-    return SystemConfig(
-        num_users=_integer(section["num_users"]),
-        num_tx_antennas=_integer(section["num_tx_antennas"]),
-        snr_db=_real(section["snr_db"]),
-        csit_alpha=_real(section["csit_alpha"]),
-        channel_variances=_floats(section["channel_variances"]),
-        master_seed=_integer(section.get("master_seed", 0)),
-    )
+    _check_keys(section, set(converters), where)
+    return cls(**{key: converters[key](value) for key, value in section.items()})
+
+
+def _system_config(section) -> SystemConfig:
+    return _from_section(SystemConfig, _SYSTEM_CONVERTERS, section, "system")
 
 
 def _ao_config(section) -> AoConfig:
-    section = dict(section)
-    _check_keys(section, set(_AO_CONVERTERS), "ao")
-    return AoConfig(**{key: _AO_CONVERTERS[key](value) for key, value in section.items()})
-
-
-def _floats(values) -> tuple[float, ...]:
-    return tuple(_real(v) for v in values)
+    return _from_section(AoConfig, _AO_CONVERTERS, section, "ao")
 
 
 def _optional_floats(values) -> tuple[float, ...] | None:

@@ -1,8 +1,10 @@
 """Primal-dual interior-point solver for small dense convex QCQPs.
 
 Solves  min f0(z)  s.t.  f_i(z) <= 0,  where every f is a convex quadratic
-f(z) = z'Az + b'z + c with A symmetric PSD (or absent for affine functions).
-Inequality-only form; all problems in this package fit it.
+f(z) = z'Az + b'z + c with A symmetric PSD.  The m constraints are one
+``Quadratics`` stack of (m, n, n) matrices, (m, n) vectors and m constants
+(affine rows carry A = 0); the objective is a one-row stack.  Inequality-only
+form; all problems in this package fit it.
 
 The main path is the standard primal-dual method: Newton steps on the
 perturbed KKT residuals with a backtracking line search that keeps the
@@ -16,7 +18,7 @@ Everything is deterministic: no randomness, fixed iteration order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -28,33 +30,35 @@ _BARRIER_MU = 20.0
 
 
 @dataclass(frozen=True)
-class QuadraticForm:
-    """f(z) = z' A z + b' z + c with A symmetric (PSD for convexity)."""
+class Quadratics:
+    """Stacked quadratics f_i(z) = z' A_i z + b_i' z + c_i, one row per function.
 
-    A: np.ndarray | None
+    A: (m, n, n) symmetric (PSD for convexity; zero for affine rows),
+    b: (m, n), c: (m,).  Each row's inner products are formed on their own
+    by a batched matmul, so a row rounds exactly as it would alone; a 2-D
+    ``b @ z`` (one matrix-vector product) rounds differently.
+    """
+
+    A: np.ndarray
     b: np.ndarray
-    c: float
+    c: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.b.shape[0]
+    def __len__(self) -> int:
+        return self.c.shape[0]
 
-    def value(self, z: np.ndarray) -> float:
-        v = float(self.b @ z) + self.c
-        if self.A is not None:
-            v += float(z @ (self.A @ z))
-        return v
+    def values(self, z: np.ndarray) -> np.ndarray:
+        return (_row_dots(self.b, z) + self.c) + _row_dots(np.matmul(self.A, z), z)
 
-    def grad(self, z: np.ndarray) -> np.ndarray:
-        g = self.b.copy()
-        if self.A is not None:
-            g += 2.0 * (self.A @ z)
-        return g
+    def jacobian(self, z: np.ndarray) -> np.ndarray:
+        return self.b + 2.0 * np.matmul(self.A, z)
 
-    def hess(self) -> np.ndarray:
-        if self.A is None:
-            return np.zeros((self.dim, self.dim))
+    def hessians(self) -> np.ndarray:
         return 2.0 * self.A
+
+
+def _row_dots(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """rows[i] @ z for every row, each as its own dot product."""
+    return np.matmul(rows[:, None, :], z)[:, 0]
 
 
 @dataclass
@@ -67,12 +71,18 @@ class IpmResult:
     gap_trace: list[float] = field(default_factory=list)
 
 
-def _values(forms: Sequence[QuadraticForm], z: np.ndarray) -> np.ndarray:
-    return np.array([f.value(z) for f in forms])
+def _newton_matrix(
+    h0: np.ndarray, J: np.ndarray, d: np.ndarray, curvature: np.ndarray, hessians: np.ndarray
+) -> np.ndarray:
+    """h0 + J' diag(d) J + sum_i curvature_i H_i + ridge I.
 
-
-def _jacobian(forms: Sequence[QuadraticForm], z: np.ndarray) -> np.ndarray:
-    return np.stack([f.grad(z) for f in forms])
+    The H_i are added one at a time in row order; a batched contraction
+    would reorder the sum and change the last bits of every Newton step.
+    """
+    H = h0 + J.T @ (d[:, None] * J)
+    for c_i, H_i in zip(curvature, hessians):
+        H = H + c_i * H_i
+    return H + _RIDGE * np.eye(H.shape[0])
 
 
 def _solve_sym(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -83,8 +93,8 @@ def _solve_sym(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def solve_primal_dual(
-    objective: QuadraticForm,
-    constraints: Sequence[QuadraticForm],
+    objective: Quadratics,
+    constraints: Quadratics,
     z0: np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 200,
@@ -96,22 +106,22 @@ def solve_primal_dual(
     """
     m = len(constraints)
     z = np.asarray(z0, dtype=float).copy()
-    fvals = _values(constraints, z)
+    fvals = constraints.values(z)
     if np.any(fvals >= 0):
         raise ValueError("primal-dual solver requires a strictly feasible start")
     lam = np.minimum(1.0 / np.maximum(-fvals, 1e-10), 1e10)
 
-    hessians = [f.hess() for f in constraints]
-    h0 = objective.hess()
+    hessians = constraints.hessians()
+    h0 = objective.hessians()[0]
     gap_trace: list[float] = []
     status = "max_iter"
     it = 0
     for it in range(1, max_iter + 1):
-        J = _jacobian(constraints, z)
+        J = constraints.jacobian(z)
         eta = float(-fvals @ lam)
         gap_trace.append(eta)
         t_hat = _PD_MU * m / max(eta, 1e-300)
-        r_dual = objective.grad(z) + J.T @ lam
+        r_dual = objective.jacobian(z)[0] + J.T @ lam
         r_cent = -lam * fvals - 1.0 / t_hat
         # Stop on the KKT contract: complementarity per element (or the
         # aggregate gap) plus dual feasibility.
@@ -120,11 +130,7 @@ def solve_primal_dual(
             status = "optimal"
             break
 
-        d = lam / (-fvals)
-        H = h0 + J.T @ (d[:, None] * J)
-        for lam_i, Hi in zip(lam, hessians):
-            H = H + lam_i * Hi
-        H = H + _RIDGE * np.eye(H.shape[0])
+        H = _newton_matrix(h0, J, lam / (-fvals), lam, hessians)
         rhs = -r_dual - J.T @ (r_cent / fvals)
         dz = _solve_sym(H, rhs)
         dlam = (r_cent - lam * (J @ dz)) / fvals
@@ -139,10 +145,10 @@ def solve_primal_dual(
         accepted = False
         for _ in range(60):
             z_new = z + s * dz
-            f_new = _values(constraints, z_new)
+            f_new = constraints.values(z_new)
             if np.all(f_new < 0):
                 lam_new = lam + s * dlam
-                rd = objective.grad(z_new) + _jacobian(constraints, z_new).T @ lam_new
+                rd = objective.jacobian(z_new)[0] + constraints.jacobian(z_new).T @ lam_new
                 rc = -lam_new * f_new - 1.0 / t_hat
                 if np.linalg.norm(np.concatenate([rd, rc])) <= (1.0 - 0.01 * s) * r_norm:
                     accepted = True
@@ -160,8 +166,8 @@ def solve_primal_dual(
 
 
 def solve_barrier(
-    objective: QuadraticForm,
-    constraints: Sequence[QuadraticForm],
+    objective: Quadratics,
+    constraints: Quadratics,
     z0: np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 400,
@@ -176,10 +182,10 @@ def solve_barrier(
     """
     m = len(constraints)
     z = np.asarray(z0, dtype=float).copy()
-    if np.any(_values(constraints, z) >= 0):
+    if np.any(constraints.values(z) >= 0):
         raise ValueError("barrier solver requires a strictly feasible start")
-    hessians = [f.hess() for f in constraints]
-    h0 = objective.hess()
+    hessians = constraints.hessians()
+    h0 = objective.hessians()[0]
     t = 1.0
     gap_trace: list[float] = []
     total_newton = 0
@@ -187,30 +193,27 @@ def solve_barrier(
     while m / t > tol and total_newton < max_iter:
         for _ in range(80):
             if early_stop is not None and early_stop(z):
-                fvals = _values(constraints, z)
+                fvals = constraints.values(z)
                 lam = 1.0 / (t * np.maximum(-fvals, 1e-300))
                 return IpmResult(z=z, lam=lam, status="early", iterations=total_newton,
                                  gap=float(-fvals @ lam), gap_trace=gap_trace)
             total_newton += 1
-            fvals = _values(constraints, z)
-            J = _jacobian(constraints, z)
+            fvals = constraints.values(z)
+            J = constraints.jacobian(z)
             inv = 1.0 / (-fvals)
-            grad = t * objective.grad(z) + J.T @ inv
-            H = t * h0 + J.T @ ((inv**2)[:, None] * J)
-            for f_i, Hi in zip(fvals, hessians):
-                H = H + (1.0 / -f_i) * Hi
-            H = H + _RIDGE * np.eye(H.shape[0])
+            grad = t * objective.jacobian(z)[0] + J.T @ inv
+            H = _newton_matrix(t * h0, J, inv**2, inv, hessians)
             dz = _solve_sym(H, -grad)
             decrement = float(-grad @ dz)
             if decrement / 2.0 <= 1e-12:
                 break
             s = 1.0
-            v0 = t * objective.value(z) - float(np.sum(np.log(-fvals)))
+            v0 = t * objective.values(z)[0] - float(np.sum(np.log(-fvals)))
             for _ in range(60):
                 z_new = z + s * dz
-                f_new = _values(constraints, z_new)
+                f_new = constraints.values(z_new)
                 if np.all(f_new < 0):
-                    v_new = t * objective.value(z_new) - float(np.sum(np.log(-f_new)))
+                    v_new = t * objective.values(z_new)[0] - float(np.sum(np.log(-f_new)))
                     if v_new <= v0 + 0.25 * s * float(grad @ dz):
                         break
                 s *= 0.5
@@ -224,14 +227,14 @@ def solve_barrier(
     else:
         if m / t > tol:
             status = "max_iter"
-    fvals = _values(constraints, z)
+    fvals = constraints.values(z)
     lam = 1.0 / (t * np.maximum(-fvals, 1e-300))
     return IpmResult(z=z, lam=lam, status=status, iterations=total_newton,
                      gap=float(-fvals @ lam), gap_trace=gap_trace)
 
 
 def find_strictly_feasible(
-    constraints: Sequence[QuadraticForm],
+    constraints: Quadratics,
     z0: np.ndarray,
     margin: float = 1e-9,
     tol: float = 1e-9,
@@ -239,38 +242,34 @@ def find_strictly_feasible(
 ) -> tuple[np.ndarray | None, float]:
     """Phase-1: find z with every f_i(z) < 0, or report the best worst-slack.
 
-    Returns (point, worst_value); point is None when the constraint system
-    admits no strictly feasible point (worst_value > 0 at the phase-1
-    optimum, a certificate-style diagnostic for QoS infeasibility).
+    Minimizes s over (z, s) subject to f_i(z) <= s and s >= -1.  Returns
+    (point, worst_value); point is None when the constraint system admits no
+    strictly feasible point (worst_value > 0 at the phase-1 optimum, a
+    certificate-style diagnostic for QoS infeasibility).
     """
-    fvals = _values(constraints, z0)
+    fvals = constraints.values(z0)
     if np.all(fvals < -margin):
         return z0.copy(), float(np.max(fvals))
-    n = z0.shape[0]
-
-    def extend(form: QuadraticForm, s_coeff: float, c_shift: float = 0.0) -> QuadraticForm:
-        A = None
-        if form.A is not None:
-            A = np.zeros((n + 1, n + 1))
-            A[:n, :n] = form.A
-        b = np.concatenate([form.b, [s_coeff]])
-        return QuadraticForm(A, b, form.c + c_shift)
-
-    ext_constraints = [extend(f, -1.0) for f in constraints]
-    # Keep phase-1 bounded: s >= -1.
-    ext_constraints.append(QuadraticForm(None, np.concatenate([np.zeros(n), [-1.0]]), -1.0))
-    objective = QuadraticForm(None, np.concatenate([np.zeros(n), [1.0]]), 0.0)
-    s0 = float(np.max(fvals)) + 1.0
-    z_ext = np.concatenate([z0, [s0]])
+    m, n = len(constraints), z0.shape[0]
+    # One zero row/column for s, plus the bounding row -s - 1 <= 0.
+    A = np.zeros((m + 1, n + 1, n + 1))
+    A[:m, :n, :n] = constraints.A
+    b = np.zeros((m + 1, n + 1))
+    b[:m, :n] = constraints.b
+    b[:, n] = -1.0
+    extended = Quadratics(A, b, np.append(constraints.c, -1.0))
+    # The objective is s itself: b = e_n, the last unit vector.
+    objective = Quadratics(np.zeros((1, n + 1, n + 1)), np.eye(1, n + 1, n), np.zeros(1))
+    z_ext = np.append(z0, float(np.max(fvals)) + 1.0)
 
     def strictly_ok(z_cur: np.ndarray) -> bool:
-        return bool(np.all(_values(constraints, z_cur[:n]) < -margin))
+        return bool(np.all(constraints.values(z_cur[:n]) < -margin))
 
     res = solve_barrier(
-        objective, ext_constraints, z_ext, tol=tol, max_iter=max_iter, early_stop=strictly_ok
+        objective, extended, z_ext, tol=tol, max_iter=max_iter, early_stop=strictly_ok
     )
     candidate = res.z[:n]
-    worst = float(np.max(_values(constraints, candidate)))
+    worst = float(np.max(constraints.values(candidate)))
     if worst < 0:
         return candidate, worst
     return None, worst

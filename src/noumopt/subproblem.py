@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ipm import IpmResult, QuadraticForm, find_strictly_feasible, solve_barrier, solve_primal_dual
+from .ipm import IpmResult, Quadratics, find_strictly_feasible, solve_barrier, solve_primal_dual
 from .strategies import CommonRateAlloc, PrecoderSet, Strategy
 from .wmmse import COMMON, LN2, PRIVATE, QuadCoefficients
 
@@ -56,48 +56,36 @@ class SubproblemSpec:
     num_users: int
     num_tx: int
     num_slack: int
-    objective: QuadraticForm
-    constraints: tuple[QuadraticForm, ...]
+    objective: Quadratics               # one row
+    constraints: Quadratics
     constraint_labels: tuple[str, ...]
 
     @property
     def dim(self) -> int:
-        return 2 * self.num_tx * (self.num_users + 1) + self.num_slack
-
-    def column_offset(self, col: int) -> int:
-        """Start of precoder column col in z (0 = common, 1 + k = user k)."""
-        return 2 * self.num_tx * col
+        return self.slack_offset + self.num_slack
 
     @property
     def slack_offset(self) -> int:
         return 2 * self.num_tx * (self.num_users + 1)
 
     def pack(self, precoders: PrecoderSet, xhat_nats: np.ndarray) -> np.ndarray:
-        z = np.zeros(self.dim)
-        n = self.num_tx
-        z[: 2 * n] = _lift_vector(precoders.common)
-        for k in range(self.num_users):
-            off = self.column_offset(1 + k)
-            z[off : off + 2 * n] = _lift_vector(precoders.private[:, k])
-        if self.num_slack:
-            z[self.slack_offset :] = xhat_nats
+        columns = np.column_stack([precoders.common, precoders.private])   # [p_c | P]
+        z = np.empty(self.dim)
+        z[: self.slack_offset] = np.concatenate([columns.real, columns.imag]).T.ravel()
+        z[self.slack_offset :] = xhat_nats
         return z
 
     def unpack(self, z: np.ndarray) -> tuple[PrecoderSet, np.ndarray]:
-        n = self.num_tx
-        common = z[:n] + 1j * z[n : 2 * n]
-        private = np.empty((n, self.num_users), dtype=complex)
-        for k in range(self.num_users):
-            off = self.column_offset(1 + k)
-            private[:, k] = z[off : off + n] + 1j * z[off + n : off + 2 * n]
-        xhat = z[self.slack_offset :].copy()
-        return PrecoderSet(common, private, self.order), xhat
+        lifted = z[: self.slack_offset].reshape(self.num_users + 1, 2, self.num_tx)
+        columns = lifted[:, 0] + 1j * lifted[:, 1]                          # row j = p_j
+        private = np.ascontiguousarray(columns[1:].T)
+        return PrecoderSet(columns[0], private, self.order), z[self.slack_offset :].copy()
 
     def objective_value(self, precoders: PrecoderSet, xhat_nats: np.ndarray) -> float:
-        return self.objective.value(self.pack(precoders, xhat_nats))
+        return float(self.objective.values(self.pack(precoders, xhat_nats))[0])
 
     def constraint_values(self, precoders: PrecoderSet, xhat_nats: np.ndarray) -> np.ndarray:
-        return _constraint_values(self, self.pack(precoders, xhat_nats))
+        return self.constraints.values(self.pack(precoders, xhat_nats))
 
 
 @dataclass(frozen=True)
@@ -138,8 +126,8 @@ def _xi_quadratic(
     num_users: int,
     dim: int,
     nu: float,
-) -> QuadraticForm:
-    """Averaged-WMSE surrogate of one (stream, user) as a quadratic in z."""
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Averaged-WMSE surrogate of one (stream, user) as (A, b, c) in z."""
     sc = coeffs.stream(stream, user)
     A = np.zeros((dim, dim))
     b = np.zeros(dim)
@@ -168,7 +156,7 @@ def _xi_quadratic(
                 add_block(1 + j, sc.psi)
     off = w * own_col
     b[off : off + w] = -2.0 * _lift_vector(sc.f)
-    return QuadraticForm(A, b, sc.t + sc.w - nu)
+    return A, b, sc.t + sc.w - nu
 
 
 def build_subproblem(
@@ -209,8 +197,8 @@ def build_subproblem(
         num_slack = k_users + 1
     else:
         num_slack = 1
-    dim = 2 * num_tx * (k_users + 1) + num_slack
     slack_off = 2 * num_tx * (k_users + 1)
+    dim = slack_off + num_slack
 
     def slack_unit(j: int) -> np.ndarray:
         e = np.zeros(dim)
@@ -229,39 +217,31 @@ def build_subproblem(
     obj_A = np.zeros((dim, dim))
     obj_b = np.zeros(dim)
     obj_c = 0.0
-    for k in range(k_users):
-        obj_A += weights[k] * xi_private[k].A
-        obj_b += weights[k] * xi_private[k].b
-        obj_c += weights[k] * xi_private[k].c
+    for k, (A, b, c) in enumerate(xi_private):
+        obj_A += weights[k] * A
+        obj_b += weights[k] * b
+        obj_c += weights[k] * c
         if num_slack > 1:
             obj_b += weights[k] * slack_unit(1 + k)
-    objective = QuadraticForm(obj_A, obj_b, obj_c)
 
-    constraints: list[QuadraticForm] = []
-    labels: list[str] = []
+    # One (A, b, c, label) per constraint row; affine rows carry A = 0.
+    zero = np.zeros((dim, dim))
+    rows: list[tuple[np.ndarray, np.ndarray, float, str]] = []
     if not pin_common:
         slack_sum = sum(slack_unit(j) for j in range(num_slack))
-        for k in range(k_users):
-            constraints.append(
-                QuadraticForm(xi_common[k].A, xi_common[k].b - slack_sum, xi_common[k].c - 1.0)
-            )
-            labels.append(f"common_decodability_user{k}")
-    for k in range(k_users):
-        b = xi_private[k].b + (slack_unit(1 + k) if num_slack > 1 else 0.0)
-        constraints.append(
-            QuadraticForm(xi_private[k].A, b, xi_private[k].c - 1.0 + unicast_thresholds[k] * LN2)
-        )
-        labels.append(f"qos_user{k}")
+        for k, (A, b, c) in enumerate(xi_common):
+            rows.append((A, b - slack_sum, c - 1.0, f"common_decodability_user{k}"))
+    for k, (A, b, c) in enumerate(xi_private):
+        b = b + (slack_unit(1 + k) if num_slack > 1 else 0.0)
+        rows.append((A, b, c - 1.0 + unicast_thresholds[k] * LN2, f"qos_user{k}"))
     if not pin_common:
-        constraints.append(QuadraticForm(None, slack_unit(0), multicast_threshold * LN2))
-        labels.append("multicast_qos")
+        rows.append((zero, slack_unit(0), multicast_threshold * LN2, "multicast_qos"))
     power_A = np.zeros((dim, dim))
     power_A[:slack_off, :slack_off] = np.eye(slack_off)
-    constraints.append(QuadraticForm(power_A, np.zeros(dim), -power_budget))
-    labels.append("power")
+    rows.append((power_A, np.zeros(dim), -power_budget, "power"))
     for j in range(num_slack):
-        constraints.append(QuadraticForm(None, slack_unit(j), 0.0))
-        labels.append(f"sign_x{j}")
+        rows.append((zero, slack_unit(j), 0.0, f"sign_x{j}"))
+    A, b, c, labels = zip(*rows)
 
     return SubproblemSpec(
         unicast_thresholds=unicast_thresholds,
@@ -271,9 +251,9 @@ def build_subproblem(
         num_users=k_users,
         num_tx=num_tx,
         num_slack=num_slack,
-        objective=objective,
-        constraints=tuple(constraints),
-        constraint_labels=tuple(labels),
+        objective=Quadratics(obj_A[None], obj_b[None], np.array([obj_c])),
+        constraints=Quadratics(np.stack(A), np.stack(b), np.array(c, dtype=float)),
+        constraint_labels=labels,
     )
 
 
@@ -296,29 +276,23 @@ def _interior_candidate(
     if spec.num_slack == 0:
         return spec.pack(precoders, np.zeros(0))
 
-    z_p = spec.pack(precoders, np.zeros(spec.num_slack))
+    # Rows 0..k-1 are the common-decodability constraints, k..2k-1 the QoS ones.
+    fvals = spec.constraints.values(spec.pack(precoders, np.zeros(spec.num_slack)))  # xhat = 0
     r0 = spec.multicast_threshold * LN2
     if spec.num_slack == 1:
         # Only X_0 is free: pick the middle of its feasible interval.
-        xi_c = [spec.constraints[i].value(z_p) for i in range(k)]  # at xhat = 0
-        lo = float(np.max(xi_c))        # X_0 >= xi_c,k(P) - 1 (shifted form)
+        lo = float(np.max(fvals[:k]))   # X_0 >= xi_c,k(P) - 1 (shifted form)
         hi = -r0
         x0 = 0.5 * (max(lo, -1e3) + hi) if lo < hi else hi - 1e-3
         return spec.pack(precoders, np.array([min(x0, -r0 - 1e-9)]))
 
     # Full slack vector: required lower bounds per component, surplus split.
-    xi_c_vals = []
-    xi_p_vals = []
-    for kk in range(k):
-        xi_c_vals.append(spec.constraints[kk].value(z_p) + 1.0)      # xi_c,k(P)
-        xi_p_vals.append(
-            spec.constraints[k + kk].value(z_p) + 1.0 - spec.unicast_thresholds[kk] * LN2
-        )
-    bound = 1.0 - float(np.max(xi_c_vals))  # surrogate common budget (nats)
+    xi_c = fvals[:k] + 1.0                                               # xi_c,k(P)
+    xi_p = fvals[k : 2 * k] + 1.0 - spec.unicast_thresholds * LN2        # xi_p,k(P)
+    bound = 1.0 - float(np.max(xi_c))  # surrogate common budget (nats)
     lower = np.empty(k + 1)
     lower[0] = r0
-    for kk in range(k):
-        lower[1 + kk] = max(0.0, spec.unicast_thresholds[kk] * LN2 - (1.0 - xi_p_vals[kk]))
+    lower[1:] = np.maximum(0.0, spec.unicast_thresholds * LN2 - (1.0 - xi_p))
     room = bound - float(np.sum(lower))
     if room <= 1e-9:
         # No obvious interior allocation; return a sign-feasible guess and let
@@ -329,17 +303,13 @@ def _interior_candidate(
     return spec.pack(precoders, -chat)
 
 
-def _constraint_values(spec: SubproblemSpec, z: np.ndarray) -> np.ndarray:
-    return np.array([f.value(z) for f in spec.constraints])
-
-
 def _kkt_parts(
     spec: SubproblemSpec, z: np.ndarray, lam: np.ndarray
 ) -> tuple[float, float, float]:
     """(stationarity, primal violation, complementarity) at (z, lam)."""
-    fvals = _constraint_values(spec, z)
-    J = np.stack([f.grad(z) for f in spec.constraints])
-    stationarity = float(np.linalg.norm(spec.objective.grad(z) + J.T @ lam, np.inf))
+    fvals = spec.constraints.values(z)
+    J = spec.constraints.jacobian(z)
+    stationarity = float(np.linalg.norm(spec.objective.jacobian(z)[0] + J.T @ lam, np.inf))
     primal = float(max(0.0, np.max(fvals)))
     complementarity = float(np.max(np.abs(lam * fvals)))
     return stationarity, primal, complementarity
@@ -367,7 +337,7 @@ def solve(
     line search stalls.
     """
     z0 = _interior_candidate(spec, initial)
-    if np.any(_constraint_values(spec, z0) >= -1e-12):
+    if np.any(spec.constraints.values(z0) >= -1e-12):
         z0, worst = find_strictly_feasible(spec.constraints, z0, margin=1e-12, tol=tol)
         if z0 is None:
             return SubproblemSolution(
@@ -400,7 +370,7 @@ def solve(
         precoders=precoders,
         xhat=xhat,
         alloc=CommonRateAlloc(chat_bits),
-        objective=spec.objective.value(z),
+        objective=float(spec.objective.values(z)[0]),
         status=status,
         iterations=res.iterations,
         kkt_stationarity=stationarity,

@@ -110,6 +110,30 @@ class TestMonotonicityAndStatus:
         assert res.status == "rejected"
         assert res.iterations == 0
 
+    @staticmethod
+    def _start_misses_thresholds():
+        # DPC, N_t = 1: at the start point the common budget (0.9676) misses
+        # the multicast threshold and user 0's total (0.9381) its QoS
+        # threshold; every later iterate meets both.
+        cfg = SystemConfig(2, 1, 20.0, 0.6, (1.0, 1.0), 673)
+        est = draw_estimate(cfg, 0)
+        return cfg, est, draw_sample_set(cfg, est, 16, 0), np.array([1.0, 1.0])
+
+    def test_start_that_misses_thresholds_is_not_returned(self):
+        cfg, est, samples, thresholds = self._start_misses_thresholds()
+        res = optimize_strategy(cfg, Strategy.DPC, est, samples, np.ones(2), 1.0, thresholds)
+        assert res.status == "converged"
+        assert res.alloc.multicast >= 1.0 - 1e-12
+        assert np.all(res.totals() >= thresholds - 1e-9)
+        assert res.trace[0] > res.wasr == max(res.trace[1:])
+
+    def test_no_iterate_within_thresholds_is_infeasible(self, monkeypatch):
+        monkeypatch.setattr(ao_module, "_candidate_state", lambda *args: None)
+        cfg, est, samples, thresholds = self._start_misses_thresholds()
+        res = optimize(cfg, Strategy.DPC, est, samples, np.ones(2), 1.0, thresholds,
+                       order=(0, 1))
+        assert res.status == "infeasible"
+
     def test_converged_alloc_satisfies_rate_constraints(self):
         cfg = SystemConfig(2, 2, 20.0, 0.6, (1.0, 1.0), 9)
         est = draw_estimate(cfg, 0)

@@ -102,6 +102,11 @@ class TestExitCodes:
         pytest.param("solve", {}, ["--out", "x"], "unrecognized arguments", id="solve-out"),
         pytest.param("solve", {}, ["--threads", "2"], "unrecognized arguments",
                      id="solve-threads"),
+        # solve runs one realization of the strategy named by --strategy.
+        pytest.param("solve", {}, ["--realizations", "7"], "unrecognized arguments",
+                     id="solve-realizations"),
+        pytest.param("solve", {}, ["--strategies", "mulp"], "unrecognized arguments",
+                     id="solve-strategies"),
         pytest.param("validate", None, ["--seed", "-1"], "config error",
                      id="validate-seed-negative"),
     ])

@@ -90,6 +90,17 @@ class TestConfigParsing:
         spec = spec_from_dict(base_config(ao=values))
         assert dataclasses.asdict(spec.ao) == values
 
+    def test_every_system_field_is_a_config_key(self):
+        values = {"num_users": 3, "num_tx_antennas": 4, "snr_db": 15.0, "csit_alpha": 0.7,
+                  "channel_variances": (1.0, 0.5, 2.0), "master_seed": 5}
+        spec = spec_from_dict(base_config(system=values))
+        assert dataclasses.asdict(spec.system) == values
+        without_seed = {key: v for key, v in values.items() if key != "master_seed"}
+        assert spec_from_dict(base_config(system=without_seed)).system.master_seed == 0
+        del without_seed["snr_db"]
+        with pytest.raises(ConfigError, match="invalid system.*snr_db"):
+            spec_from_dict(base_config(system=without_seed))
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "missing.json")

@@ -2,23 +2,57 @@ import numpy as np
 import pytest
 
 from noumopt.ipm import (
-    QuadraticForm,
+    Quadratics,
     find_strictly_feasible,
     solve_barrier,
     solve_primal_dual,
 )
 
 
+def stack(*rows):
+    """Quadratics from (A, b, c) rows; A = None is an affine row."""
+    n = len(rows[0][1])
+    return Quadratics(
+        np.stack([np.zeros((n, n)) if A is None else A for A, _, _ in rows]),
+        np.stack([np.asarray(b, dtype=float) for _, b, _ in rows]),
+        np.array([c for _, _, c in rows], dtype=float),
+    )
+
+
 def box_qp():
     # min (z0 - 3)^2 + (z1 + 1)^2  s.t.  |z_i| <= 1  -> optimum at (1, -1).
-    objective = QuadraticForm(np.eye(2), np.array([-6.0, 2.0]), 10.0)
-    constraints = []
+    objective = stack((np.eye(2), [-6.0, 2.0], 10.0))
+    rows = []
     for i in range(2):
         e = np.zeros(2)
         e[i] = 1.0
-        constraints.append(QuadraticForm(None, e.copy(), -1.0))
-        constraints.append(QuadraticForm(None, -e, -1.0))
-    return objective, constraints
+        rows.append((None, e.copy(), -1.0))
+        rows.append((None, -e, -1.0))
+    return objective, stack(*rows)
+
+
+class TestQuadratics:
+    def test_rows_equal_per_row_formulas(self):
+        # Every row's value and gradient equal the row on its own, bit for
+        # bit, affine (A = 0) rows included.
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            m, n = int(rng.integers(1, 14)), int(rng.integers(1, 40))
+            A = rng.standard_normal((m, n, n))
+            A = A + A.transpose(0, 2, 1)
+            A[rng.random(m) < 0.4] = 0.0
+            b = rng.standard_normal((m, n))
+            c = rng.standard_normal(m)
+            z = rng.standard_normal(n)
+            q = Quadratics(A, b, c)
+            values = [float(b[i] @ z) + c[i] + float(z @ (A[i] @ z)) for i in range(m)]
+            gradients = np.stack([b[i] + 2.0 * (A[i] @ z) for i in range(m)])
+            assert len(q) == m
+            assert np.array_equal(q.values(z), values)
+            assert np.array_equal(q.jacobian(z), gradients)
+            assert np.array_equal(q.hessians(), 2.0 * A)
+            affine = np.flatnonzero(~A.any(axis=(1, 2)))
+            assert np.array_equal(q.values(z)[affine], [float(b[i] @ z) + c[i] for i in affine])
 
 
 class TestPrimalDual:
@@ -29,7 +63,7 @@ class TestPrimalDual:
         # z1's bound is weakly active (zero multiplier), so pointwise accuracy
         # is O(sqrt(tol)) there; the objective value is the sharp check.
         assert res.z == pytest.approx([1.0, -1.0], abs=1e-4)
-        assert objective.value(res.z) == pytest.approx(4.0, abs=1e-8)
+        assert objective.values(res.z)[0] == pytest.approx(4.0, abs=1e-8)
 
     def test_requires_strict_feasibility(self):
         objective, constraints = box_qp()
@@ -48,9 +82,9 @@ class TestPrimalDual:
         for _ in range(10):
             c = rng.standard_normal(4)
             c *= 2.5 / np.linalg.norm(c)
-            objective = QuadraticForm(np.eye(4), -2 * c, float(c @ c))
-            ball = QuadraticForm(np.eye(4), np.zeros(4), -1.0)
-            res = solve_primal_dual(objective, [ball], np.zeros(4), tol=1e-10)
+            objective = stack((np.eye(4), -2 * c, float(c @ c)))
+            ball = stack((np.eye(4), np.zeros(4), -1.0))
+            res = solve_primal_dual(objective, ball, np.zeros(4), tol=1e-10)
             assert res.status == "optimal"
             assert res.z == pytest.approx(c / np.linalg.norm(c), abs=1e-6)
 
@@ -60,7 +94,7 @@ class TestBarrier:
         objective, constraints = box_qp()
         pd = solve_primal_dual(objective, constraints, np.zeros(2), tol=1e-10)
         ba = solve_barrier(objective, constraints, np.zeros(2), tol=1e-10)
-        assert objective.value(ba.z) == pytest.approx(objective.value(pd.z), abs=1e-6)
+        assert objective.values(ba.z)[0] == pytest.approx(objective.values(pd.z)[0], abs=1e-6)
 
     def test_gap_trace_monotone(self):
         objective, constraints = box_qp()
@@ -72,28 +106,28 @@ class TestBarrier:
 class TestPhase1:
     def test_finds_interior_point(self):
         # Feasible slab 0.5 <= z0 <= 0.6 from a far-away start.
-        constraints = [
-            QuadraticForm(None, np.array([1.0, 0.0]), -0.6),
-            QuadraticForm(None, np.array([-1.0, 0.0]), 0.5),
-            QuadraticForm(np.eye(2), np.zeros(2), -4.0),
-        ]
+        constraints = stack(
+            (None, [1.0, 0.0], -0.6),
+            (None, [-1.0, 0.0], 0.5),
+            (np.eye(2), np.zeros(2), -4.0),
+        )
         z, worst = find_strictly_feasible(constraints, np.array([5.0, 5.0]))
         assert z is not None
         assert worst < 0
         assert 0.5 < z[0] < 0.6
 
     def test_short_circuits_when_already_feasible(self):
-        constraints = [QuadraticForm(np.eye(2), np.zeros(2), -1.0)]
+        constraints = stack((np.eye(2), np.zeros(2), -1.0))
         z0 = np.array([0.1, 0.1])
         z, worst = find_strictly_feasible(constraints, z0)
         assert np.array_equal(z, z0)
 
     def test_detects_infeasibility(self):
         # z0 <= -1 and z0 >= 1 cannot hold together.
-        constraints = [
-            QuadraticForm(None, np.array([1.0]), 1.0),
-            QuadraticForm(None, np.array([-1.0]), 1.0),
-        ]
+        constraints = stack(
+            (None, [1.0], 1.0),
+            (None, [-1.0], 1.0),
+        )
         z, worst = find_strictly_feasible(constraints, np.array([0.0]))
         assert z is None
         assert worst > 0.5  # best achievable max-violation is 1

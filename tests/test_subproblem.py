@@ -73,6 +73,22 @@ class TestBuildStructure:
                 Strategy.MULP, pin_common=True,
             )
 
+    def test_pack_layout_and_round_trip(self):
+        cfg, samples, prec, coeffs, order = make_instance(k=3, n_t=2)
+        spec = build_subproblem(
+            coeffs, np.ones(3), np.zeros(3), 0.0, cfg.transmit_power, Strategy.DPCRS1, order
+        )
+        xhat = -np.arange(1.0, 5.0)
+        z = spec.pack(prec, xhat)
+        columns = [prec.common] + [prec.private[:, k] for k in range(3)]
+        expected = np.concatenate([np.concatenate([p.real, p.imag]) for p in columns] + [xhat])
+        assert np.array_equal(z, expected)
+        back, xhat_back = spec.unpack(z)
+        assert np.array_equal(back.common, prec.common)
+        assert np.array_equal(back.private, prec.private)
+        assert back.private.flags.c_contiguous and back.order == order
+        assert np.array_equal(xhat_back, xhat)
+
     def test_zero_thresholds_inactive_at_update_point(self):
         cfg, samples, prec, coeffs, order = make_instance()
         spec = build_subproblem(
@@ -165,13 +181,13 @@ class TestSolve:
             if p.total_power() > 0.98 * cfg.transmit_power:
                 continue
             z0 = spec.pack(p, np.zeros(3))
-            budget = 1.0 - max(spec.constraints[k].value(z0) + 1.0 for k in range(2))
+            budget = 1.0 - max(spec.constraints.values(z0)[k] + 1.0 for k in range(2))
             if budget <= 1e-6:
                 continue
             chat = rng.uniform(0.0, budget / 4.0, size=3)
             xhat = -chat
             z = spec.pack(p, xhat)
-            if np.all([f.value(z) <= 0 for f in spec.constraints]):
+            if np.all(spec.constraints.values(z) <= 0):
                 found += 1
                 assert sol.objective <= spec.objective_value(p, xhat) + 1e-9
         assert found >= 100
