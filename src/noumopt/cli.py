@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 invalid config, 2 infeasible everywhere,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -141,8 +142,9 @@ def _cmd_esr_alpha(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    spec = _resolve_spec(args)
-    (strategy,) = parse_strategies([args.strategy])
+    # The config's checks (the order cap among them) apply to the strategy solved.
+    spec = dataclasses.replace(_resolve_spec(args), strategies=parse_strategies([args.strategy]))
+    (strategy,) = spec.strategies
     if args.realization < 0:
         raise ConfigError("--realization must be >= 0")
     cfg = spec.system

@@ -8,10 +8,11 @@ form; all problems in this package fit it.
 
 The main path is the standard primal-dual method: Newton steps on the
 perturbed KKT residuals with a backtracking line search that keeps the
-iterates strictly feasible and the residual norm decreasing.  A log-barrier
-Newton method is kept as a fallback for the rare case the primal-dual line
-search stalls.  Strictly feasible starting points come from a phase-1
-problem (minimize the worst constraint violation).
+iterates strictly feasible and the residual norm decreasing; it stops when
+every part of ``kkt_parts`` is <= tol.  A log-barrier Newton method is kept
+as a fallback for the rare case the primal-dual line search stalls.
+Strictly feasible starting points come from a phase-1 problem (minimize the
+worst constraint violation).
 
 Everything is deterministic: no randomness, fixed iteration order.
 """
@@ -34,9 +35,7 @@ class Quadratics:
     """Stacked quadratics f_i(z) = z' A_i z + b_i' z + c_i, one row per function.
 
     A: (m, n, n) symmetric (PSD for convexity; zero for affine rows),
-    b: (m, n), c: (m,).  Each row's inner products are formed on their own
-    by a batched matmul, so a row rounds exactly as it would alone; a 2-D
-    ``b @ z`` (one matrix-vector product) rounds differently.
+    b: (m, n), c: (m,).
     """
 
     A: np.ndarray
@@ -47,18 +46,13 @@ class Quadratics:
         return self.c.shape[0]
 
     def values(self, z: np.ndarray) -> np.ndarray:
-        return (_row_dots(self.b, z) + self.c) + _row_dots(np.matmul(self.A, z), z)
+        return self.b @ z + self.c + (self.A @ z) @ z
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
-        return self.b + 2.0 * np.matmul(self.A, z)
+        return self.b + 2.0 * (self.A @ z)
 
     def hessians(self) -> np.ndarray:
         return 2.0 * self.A
-
-
-def _row_dots(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """rows[i] @ z for every row, each as its own dot product."""
-    return np.matmul(rows[:, None, :], z)[:, 0]
 
 
 @dataclass
@@ -71,17 +65,28 @@ class IpmResult:
     gap_trace: list[float] = field(default_factory=list)
 
 
+def _kkt_parts(
+    r_dual: np.ndarray, fvals: np.ndarray, lam: np.ndarray
+) -> tuple[float, float, float]:
+    """(stationarity, primal violation, complementarity) from the dual
+    residual grad f0 + J' lam and the constraint values at one point."""
+    stationarity = float(np.linalg.norm(r_dual, np.inf))
+    return stationarity, float(max(0.0, np.max(fvals))), float(np.max(np.abs(lam * fvals)))
+
+
+def kkt_parts(
+    objective: Quadratics, constraints: Quadratics, z: np.ndarray, lam: np.ndarray
+) -> tuple[float, float, float]:
+    """The KKT parts at (z, lam); the primal-dual stops when all are <= tol."""
+    r_dual = objective.jacobian(z)[0] + constraints.jacobian(z).T @ lam
+    return _kkt_parts(r_dual, constraints.values(z), lam)
+
+
 def _newton_matrix(
     h0: np.ndarray, J: np.ndarray, d: np.ndarray, curvature: np.ndarray, hessians: np.ndarray
 ) -> np.ndarray:
-    """h0 + J' diag(d) J + sum_i curvature_i H_i + ridge I.
-
-    The H_i are added one at a time in row order; a batched contraction
-    would reorder the sum and change the last bits of every Newton step.
-    """
-    H = h0 + J.T @ (d[:, None] * J)
-    for c_i, H_i in zip(curvature, hessians):
-        H = H + c_i * H_i
+    """h0 + J' diag(d) J + sum_i curvature_i H_i + ridge I."""
+    H = h0 + J.T @ (d[:, None] * J) + np.tensordot(curvature, hessians, axes=1)
     return H + _RIDGE * np.eye(H.shape[0])
 
 
@@ -101,8 +106,9 @@ def solve_primal_dual(
 ) -> IpmResult:
     """Primal-dual interior-point iteration from a strictly feasible z0.
 
-    Terminates when the surrogate duality gap and the dual-residual norm
-    both fall below tolerance.
+    The status is ``optimal`` exactly when every part of ``kkt_parts`` at the
+    returned (z, lam) is <= tol; otherwise ``stalled`` (the line search found
+    no step) or ``max_iter`` (max_iter Newton steps taken).
     """
     m = len(constraints)
     z = np.asarray(z0, dtype=float).copy()
@@ -115,20 +121,19 @@ def solve_primal_dual(
     h0 = objective.hessians()[0]
     gap_trace: list[float] = []
     status = "max_iter"
-    it = 0
-    for it in range(1, max_iter + 1):
+    # Pass max_iter + 1 only checks the point that the last step reached.
+    for it in range(1, max_iter + 2):
         J = constraints.jacobian(z)
         eta = float(-fvals @ lam)
         gap_trace.append(eta)
-        t_hat = _PD_MU * m / max(eta, 1e-300)
         r_dual = objective.jacobian(z)[0] + J.T @ lam
-        r_cent = -lam * fvals - 1.0 / t_hat
-        # Stop on the KKT contract: complementarity per element (or the
-        # aggregate gap) plus dual feasibility.
-        comp = float(np.max(np.abs(lam * fvals)))
-        if min(eta, comp) <= tol and np.linalg.norm(r_dual, np.inf) <= tol:
+        if max(_kkt_parts(r_dual, fvals, lam)) <= tol:
             status = "optimal"
             break
+        if it > max_iter:
+            break
+        t_hat = _PD_MU * m / max(eta, 1e-300)
+        r_cent = -lam * fvals - 1.0 / t_hat
 
         H = _newton_matrix(h0, J, lam / (-fvals), lam, hessians)
         rhs = -r_dual - J.T @ (r_cent / fvals)
@@ -158,11 +163,9 @@ def solve_primal_dual(
             status = "stalled"
             break
         z, lam, fvals = z_new, lam_new, f_new
-    else:
-        it = max_iter
 
-    eta = float(-fvals @ lam)
-    return IpmResult(z=z, lam=lam, status=status, iterations=it, gap=eta, gap_trace=gap_trace)
+    return IpmResult(z=z, lam=lam, status=status, iterations=min(it, max_iter), gap=eta,
+                     gap_trace=gap_trace)
 
 
 def solve_barrier(

@@ -126,6 +126,12 @@ class RateReport:
         return float(np.min(self.common_per_user))
 
 
+def _sample_products(rows_h: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """rows_h[m, k] @ columns for every (sample, user) as one 2-D product."""
+    m, k, n = rows_h.shape
+    return (rows_h.reshape(m * k, n) @ columns).reshape(m, k, -1)
+
+
 def _stream_products(samples: SampleSet, precoders: PrecoderSet) -> np.ndarray:
     """h_k^H p_j per (sample, user, column) -> (M, K, K+1).
 
@@ -133,7 +139,7 @@ def _stream_products(samples: SampleSet, precoders: PrecoderSet) -> np.ndarray:
     Every sampled rate, T and weight reads these products; none forms its own.
     """
     columns = np.column_stack([precoders.common, precoders.private])
-    return np.einsum("mkn,nj->mkj", samples.realizations_h, columns)
+    return _sample_products(samples.realizations_h, columns)
 
 
 def _private_denominators(
@@ -151,7 +157,7 @@ def _private_denominators(
     if not strategy.uses_dpc:
         return np.sum(g_true, axis=-1) - g_true[..., own, own] + 1.0
     order = precoders.require_order()
-    g_err = np.abs(np.einsum("mkn,nj->mkj", samples.errors_h, precoders.private)) ** 2
+    g_err = np.abs(_sample_products(samples.errors_h, precoders.private)) ** 2
     denom = np.ones(g_true.shape[:-1])
     for pos, user in enumerate(order):
         earlier = list(order[:pos])

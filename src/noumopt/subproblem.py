@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ipm import IpmResult, Quadratics, find_strictly_feasible, solve_barrier, solve_primal_dual
+from .ipm import Quadratics, find_strictly_feasible, kkt_parts, solve_barrier, solve_primal_dual
 from .strategies import CommonRateAlloc, PrecoderSet, Strategy
 from .wmmse import COMMON, LN2, PRIVATE, QuadCoefficients
 
@@ -78,8 +78,7 @@ class SubproblemSpec:
     def unpack(self, z: np.ndarray) -> tuple[PrecoderSet, np.ndarray]:
         lifted = z[: self.slack_offset].reshape(self.num_users + 1, 2, self.num_tx)
         columns = lifted[:, 0] + 1j * lifted[:, 1]                          # row j = p_j
-        private = np.ascontiguousarray(columns[1:].T)
-        return PrecoderSet(columns[0], private, self.order), z[self.slack_offset :].copy()
+        return PrecoderSet(columns[0], columns[1:].T, self.order), z[self.slack_offset :].copy()
 
     def objective_value(self, precoders: PrecoderSet, xhat_nats: np.ndarray) -> float:
         return float(self.objective.values(self.pack(precoders, xhat_nats))[0])
@@ -303,18 +302,6 @@ def _interior_candidate(
     return spec.pack(precoders, -chat)
 
 
-def _kkt_parts(
-    spec: SubproblemSpec, z: np.ndarray, lam: np.ndarray
-) -> tuple[float, float, float]:
-    """(stationarity, primal violation, complementarity) at (z, lam)."""
-    fvals = spec.constraints.values(z)
-    J = spec.constraints.jacobian(z)
-    stationarity = float(np.linalg.norm(spec.objective.jacobian(z)[0] + J.T @ lam, np.inf))
-    primal = float(max(0.0, np.max(fvals)))
-    complementarity = float(np.max(np.abs(lam * fvals)))
-    return stationarity, primal, complementarity
-
-
 def kkt_residual(
     spec: SubproblemSpec,
     precoders: PrecoderSet,
@@ -322,7 +309,8 @@ def kkt_residual(
     multipliers: np.ndarray,
 ) -> float:
     """Max of stationarity, primal-violation, and complementarity norms."""
-    return max(_kkt_parts(spec, spec.pack(precoders, xhat_nats), multipliers))
+    z = spec.pack(precoders, xhat_nats)
+    return max(kkt_parts(spec.objective, spec.constraints, z, multipliers))
 
 
 def solve(
@@ -332,9 +320,11 @@ def solve(
 ) -> SubproblemSolution:
     """Solve the QCQP to a KKT residual <= tol (or detect infeasibility).
 
-    ``initial`` is a warm-start hint; convexity makes it a speed knob only.
-    Falls back from the primal-dual method to the log-barrier method if the
-    line search stalls.
+    The status is ``optimal`` exactly when ``kkt_residual <= tol`` at the
+    returned point, and ``max_iter`` otherwise.  ``initial`` is a warm-start
+    hint; convexity makes it a speed knob only.  Falls back from the
+    primal-dual method to the log-barrier method if the primal-dual stalls
+    or runs out of iterations, and keeps the result with the smaller gap.
     """
     z0 = _interior_candidate(spec, initial)
     if np.any(spec.constraints.values(z0) >= -1e-12):
@@ -347,14 +337,14 @@ def solve(
                 multipliers=None, infeasibility=worst,
             )
 
-    res: IpmResult = solve_primal_dual(spec.objective, spec.constraints, z0, tol=tol / 2)
+    res = solve_primal_dual(spec.objective, spec.constraints, z0, tol=tol)
     if res.status in ("stalled", "max_iter"):
-        fallback = solve_barrier(spec.objective, spec.constraints, res.z, tol=tol / 2)
+        fallback = solve_barrier(spec.objective, spec.constraints, res.z, tol=tol)
         if fallback.gap <= res.gap:
             res = fallback
 
     z, lam = res.z, res.lam
-    stationarity, primal, complementarity = _kkt_parts(spec, z, lam)
+    stationarity, primal, complementarity = kkt_parts(spec.objective, spec.constraints, z, lam)
     precoders, xhat = spec.unpack(z)
 
     chat_bits = np.zeros(spec.num_users + 1)
@@ -363,9 +353,7 @@ def solve(
     elif spec.num_slack > 1:
         chat_bits = -xhat / LN2
     chat_bits[chat_bits < 1e-9] = 0.0
-    status = "optimal" if res.status == "optimal" else "max_iter"
-    if status == "max_iter" and max(stationarity, primal, complementarity) <= tol:
-        status = "optimal"
+    status = "optimal" if max(stationarity, primal, complementarity) <= tol else "max_iter"
     return SubproblemSolution(
         precoders=precoders,
         xhat=xhat,

@@ -206,11 +206,11 @@ def _assemble_stream(
     m = channels_h.shape[0]
     t = w * np.abs(g) ** 2
     channels = channels_h.conj()
-    psi = np.einsum("mi,mj->ij", t[:, None] * channels, channels_h) / m
+    psi = (t[:, None] * channels).T @ channels_h / m
     phi = None
     if errors_h is not None:
-        phi = np.einsum("mi,mj->ij", t[:, None] * errors_h.conj(), errors_h) / m
-    f = np.einsum("m,mi->i", w * g.conj(), channels) / m
+        phi = (t[:, None] * errors_h.conj()).T @ errors_h / m
+    f = (w * g.conj()) @ channels / m
     log_w = np.log(w)
     return StreamCoefficients(
         psi=psi,

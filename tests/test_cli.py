@@ -107,6 +107,9 @@ class TestExitCodes:
                      id="solve-realizations"),
         pytest.param("solve", {}, ["--strategies", "mulp"], "unrecognized arguments",
                      id="solve-strategies"),
+        # The order cap is checked against --strategy, not the config's strategies.
+        pytest.param("solve", {"strategies": ["rs1"], "ao": {"order_cap": 1}},
+                     ["--strategy", "dpc"], "config error", id="solve-order-cap"),
         pytest.param("validate", None, ["--seed", "-1"], "config error",
                      id="validate-seed-negative"),
     ])

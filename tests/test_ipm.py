@@ -3,7 +3,9 @@ import pytest
 
 from noumopt.ipm import (
     Quadratics,
+    _newton_matrix,
     find_strictly_feasible,
+    kkt_parts,
     solve_barrier,
     solve_primal_dual,
 )
@@ -33,8 +35,9 @@ def box_qp():
 
 class TestQuadratics:
     def test_rows_equal_per_row_formulas(self):
-        # Every row's value and gradient equal the row on its own, bit for
-        # bit, affine (A = 0) rows included.
+        # Every row's value and gradient equal the row on its own, affine
+        # (A = 0) rows included, to rounding: rtol 1e-12 plus an absolute
+        # floor of 1e-12 times the row's sum of absolute terms.
         rng = np.random.default_rng(0)
         for _ in range(300):
             m, n = int(rng.integers(1, 14)), int(rng.integers(1, 40))
@@ -45,14 +48,35 @@ class TestQuadratics:
             c = rng.standard_normal(m)
             z = rng.standard_normal(n)
             q = Quadratics(A, b, c)
-            values = [float(b[i] @ z) + c[i] + float(z @ (A[i] @ z)) for i in range(m)]
+            values = np.array([float(b[i] @ z) + c[i] + float(z @ (A[i] @ z)) for i in range(m)])
             gradients = np.stack([b[i] + 2.0 * (A[i] @ z) for i in range(m)])
+            az = np.abs(z)
+            value_scale = np.abs(b) @ az + np.abs(c) + (np.abs(A) @ az) @ az
+            gradient_scale = np.abs(b) + 2.0 * (np.abs(A) @ az)
             assert len(q) == m
-            assert np.array_equal(q.values(z), values)
-            assert np.array_equal(q.jacobian(z), gradients)
+            assert np.allclose(q.values(z), values, rtol=1e-12, atol=1e-12 * value_scale)
+            assert np.allclose(q.jacobian(z), gradients, rtol=1e-12, atol=1e-12 * gradient_scale)
             assert np.array_equal(q.hessians(), 2.0 * A)
             affine = np.flatnonzero(~A.any(axis=(1, 2)))
-            assert np.array_equal(q.values(z)[affine], [float(b[i] @ z) + c[i] for i in affine])
+            affine_values = [float(b[i] @ z) + c[i] for i in affine]
+            assert np.allclose(q.values(z)[affine], affine_values, rtol=1e-12,
+                               atol=1e-12 * value_scale[affine])
+
+    def test_newton_matrix_equals_row_loop(self):
+        # The stacked contraction against the sum of the rows one at a time,
+        # to rounding (the summation order differs).
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            m, n = int(rng.integers(1, 14)), int(rng.integers(1, 40))
+            h0, hessians = rng.standard_normal((n, n)), rng.standard_normal((m, n, n))
+            J, d, curvature = rng.standard_normal((m, n)), rng.random(m), rng.random(m)
+            expected = h0 + J.T @ (d[:, None] * J) + 1e-12 * np.eye(n)
+            scale = np.abs(h0) + np.abs(J).T @ (d[:, None] * np.abs(J))
+            for c_i, H_i in zip(curvature, hessians):
+                expected = expected + c_i * H_i
+                scale = scale + c_i * np.abs(H_i)
+            got = _newton_matrix(h0, J, d, curvature, hessians)
+            assert np.allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestPrimalDual:
@@ -75,6 +99,26 @@ class TestPrimalDual:
         res = solve_primal_dual(objective, constraints, np.zeros(2), tol=1e-10)
         trace = np.array(res.gap_trace)
         assert np.all(np.diff(trace) <= 1e-12 + 1e-9 * trace[:-1])
+
+    def test_optimal_exactly_when_kkt_parts_within_tol(self):
+        # The status is the shared KKT rule at the returned (z, lam), also at
+        # a max_iter cap that the last step brings inside the tolerance.
+        rng = np.random.default_rng(1)
+        statuses = set()
+        for trial in range(40):
+            n = int(rng.integers(2, 6))
+            c = rng.standard_normal(n)
+            c *= 2.5 / np.linalg.norm(c)
+            objective = stack((np.eye(n), -2 * c, float(c @ c)))
+            halfspace = (None, rng.standard_normal(n), -1.0)
+            constraints = stack((np.eye(n), np.zeros(n), -1.0), halfspace)
+            tol = 10.0 ** -rng.integers(4, 11)
+            res = solve_primal_dual(objective, constraints, np.zeros(n), tol=tol,
+                                    max_iter=1 + trial % 20)
+            statuses.add(res.status)
+            within = max(kkt_parts(objective, constraints, res.z, res.lam)) <= tol
+            assert (res.status == "optimal") == within
+        assert statuses == {"optimal", "max_iter"}
 
     def test_ball_constrained_least_squares(self):
         # min ||z - c||^2 s.t. ||z||^2 <= 1 with ||c|| > 1 -> z* = c/||c||.

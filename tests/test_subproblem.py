@@ -18,6 +18,8 @@ from noumopt import (
     update_equalizers_weights,
     xi_hat_nats,
 )
+from noumopt import ipm, optimize_strategy
+from noumopt import subproblem as subproblem_module
 from noumopt.wmmse import LN2
 
 
@@ -86,7 +88,7 @@ class TestBuildStructure:
         back, xhat_back = spec.unpack(z)
         assert np.array_equal(back.common, prec.common)
         assert np.array_equal(back.private, prec.private)
-        assert back.private.flags.c_contiguous and back.order == order
+        assert back.order == order
         assert np.array_equal(xhat_back, xhat)
 
     def test_zero_thresholds_inactive_at_update_point(self):
@@ -240,6 +242,39 @@ class TestSolve:
         assert sol.alloc.multicast >= 0.3 - 1e-7
         values = spec.constraint_values(sol.precoders, sol.xhat)
         assert np.all(values <= 1e-7)
+
+
+    def test_status_is_kkt_residual_within_tol(self):
+        statuses = set()
+        for seed in range(3):
+            for strategy in (Strategy.DPCRS1, Strategy.MULP):
+                cfg, samples, prec, coeffs, order = make_instance(seed=seed, strategy=strategy)
+                spec = build_subproblem(
+                    coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power, strategy, order
+                )
+                for tol in (1e-6, 1e-8, 1e-15):
+                    sol = solve(spec, tol=tol, initial=prec)
+                    statuses.add(sol.status)
+                    assert (sol.status == "optimal") == (sol.kkt_residual <= tol)
+        assert statuses == {"optimal", "max_iter"}
+
+    def test_criterion_9_tail_task_has_no_max_iter_exits(self, monkeypatch):
+        # Master seed 9, realization 0, alpha 0.1, DPCRS1: stopping the
+        # primal-dual at tol / 2 made 36 of its calls here end at max_iter.
+        statuses = []
+
+        def counted(*args, **kwargs):
+            res = ipm.solve_primal_dual(*args, **kwargs)
+            statuses.append(res.status)
+            return res
+
+        monkeypatch.setattr(subproblem_module, "solve_primal_dual", counted)
+        cfg = SystemConfig(2, 2, 20.0, 0.1, (1.0, 1.0), 9)
+        est = draw_estimate(cfg, 0)
+        samples = draw_sample_set(cfg, est, 64, 0)
+        result = optimize_strategy(cfg, Strategy.DPCRS1, est, samples, np.ones(2))
+        assert result.status == "converged" and result.order == (0, 1)
+        assert statuses and statuses.count("max_iter") == 0
 
 
 class TestKktResidual:
