@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -155,20 +156,27 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         cfg, strategy, estimate, samples, weights,
         spec.multicast_threshold, spec.resolved_unicast_thresholds(), spec.ao,
     )
+    feasible = result.status != "infeasible"
     summary = {
         "strategy": strategy.value,
         "status": result.status,
         "iterations": result.iterations,
-        "wasr": result.wasr,
-        "per_user_totals": [float(t) for t in result.totals()],
-        "common_alloc": [float(c) for c in result.alloc.rates],
-        "common_bound": result.report.common_bound,
+        # An infeasible result holds the rejected start's numbers: print none of them.
+        "wasr": _number(result.wasr) if feasible else None,
+        "per_user_totals": [_number(t) for t in result.totals()] if feasible else None,
+        "common_alloc": [_number(c) for c in result.alloc.rates] if feasible else None,
+        "common_bound": _number(result.report.common_bound),
         "encoding_order": list(result.order) if result.order else None,
-        "trace": [float(t) for t in result.trace],
-        "kkt_residual": result.last_kkt_residual,
+        "trace": [_number(t) for t in result.trace],
+        "kkt_residual": _number(result.last_kkt_residual),
     }
-    print(json.dumps(summary, indent=2))
-    return EXIT_OK if result.status != "infeasible" else EXIT_INFEASIBLE
+    print(json.dumps(summary, indent=2, allow_nan=False))
+    return EXIT_OK if feasible else EXIT_INFEASIBLE
+
+
+def _number(value: float) -> float | None:
+    """``value`` as a JSON number, or None when it is not finite (JSON has no NaN or Infinity)."""
+    return float(value) if math.isfinite(value) else None
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

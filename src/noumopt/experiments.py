@@ -391,14 +391,18 @@ def _sweep(
 
     Each grid point is (alpha, weight_u2, weights, unicast thresholds).  Tasks
     are strategy-major, then grid point, then realization.  Every point's
-    system is built before any task starts, so a grid value that a task would
-    reject is a ConfigError, not a mid-sweep failure.
+    system and weights are checked before any task starts, so a grid value
+    that a task would reject is a ConfigError, not a mid-sweep failure.
     """
-    for alpha, *_ in points:
+    if not points:
+        raise ConfigError("empty sweep grid: region needs a weight_grid, esr-alpha an alpha_grid")
+    for alpha, _, weights, _ in points:
         try:
             replace(spec.system, csit_alpha=alpha)
         except ValueError as exc:
             raise ConfigError(f"invalid grid point alpha={alpha!r}: {exc}") from exc
+        if not all(math.isfinite(w) and w > 0 for w in weights):
+            raise ConfigError(f"invalid grid point weights={weights!r}: weights must be > 0")
     combos = itertools.product(
         spec.strategies, enumerate(points), range(spec.num_realizations)
     )
@@ -428,8 +432,6 @@ def run_esr_alpha(spec: ExperimentSpec, threads: int = 1) -> list[ResultRecord]:
     The same master seed (hence the same underlying standard-normal draws)
     is reused at every alpha; only the error scaling changes.
     """
-    if not spec.alpha_grid:
-        raise ConfigError("esr-alpha mode requires a non-empty alpha_grid")
     k = spec.system.num_users
     thresholds = tuple(float(t) for t in spec.resolved_unicast_thresholds())
     schedule = spec.threshold_schedule

@@ -19,6 +19,7 @@ bit/s/Hz (log base 2).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +143,28 @@ def _stream_products(samples: SampleSet, precoders: PrecoderSet) -> np.ndarray:
     return _sample_products(samples.realizations_h, columns)
 
 
+@functools.lru_cache(maxsize=None)
+def interference_masks(
+    strategy: Strategy, order: tuple[int, ...] | None, num_users: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (K, K) 0/1 masks (channel, error), the one reader of the encoding order.
+
+    ``channel[k, j]`` is 1 when user j's private stream reaches user k through
+    the channel, ``error[k, j]`` when only through the CSIT error (under DPC, a
+    stream encoded before user k's).  They are disjoint and sum to 1 - I."""
+    channel = 1.0 - np.eye(num_users)
+    error = np.zeros((num_users, num_users))
+    if strategy.uses_dpc:
+        if order is None or sorted(order) != list(range(num_users)):
+            raise ValueError("this strategy requires an encoding order of all users")
+        position = np.argsort(order)                # position[j]: when user j is encoded
+        error[position[None, :] < position[:, None]] = 1.0
+        channel -= error
+    channel.setflags(write=False)
+    error.setflags(write=False)
+    return channel, error
+
+
 def _private_denominators(
     strategy: Strategy,
     samples: SampleSet,
@@ -150,23 +173,21 @@ def _private_denominators(
 ) -> np.ndarray:
     """Interference-plus-noise per (sample, user) seen by each private stream.
 
-    ``g_true`` holds the private gains |h_k^H p_j|^2, (M, K, K).
+    ``g_true`` holds the private gains |h_k^H p_j|^2, (M, K, K).  The masks add
+    the error-channel and true gains as ``(1 + error part) + channel part``.
     """
-    k_users = precoders.num_users
-    own = np.arange(k_users)
-    if not strategy.uses_dpc:
-        return np.sum(g_true, axis=-1) - g_true[..., own, own] + 1.0
-    order = precoders.require_order()
-    g_err = np.abs(_sample_products(samples.errors_h, precoders.private)) ** 2
-    denom = np.ones(g_true.shape[:-1])
-    for pos, user in enumerate(order):
-        earlier = list(order[:pos])
-        later = list(order[pos + 1:])
-        if earlier:
-            denom[..., user] += np.sum(g_err[..., user, earlier], axis=-1)
-        if later:
-            denom[..., user] += np.sum(g_true[..., user, later], axis=-1)
-    return denom
+    channel, error = interference_masks(strategy, precoders.order, precoders.num_users)
+    denom = 1.0
+    if error.any():
+        g_err = np.abs(_sample_products(samples.errors_h, precoders.private)) ** 2
+        denom = denom + _masked_sums(g_err, error)
+    return denom + _masked_sums(g_true, channel)
+
+
+def _masked_sums(gains: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """sum_j mask[k, j] gains[m, k, j] -> (M, K), one matrix-vector product per user;
+    C-ordered, since the last bits of the sample means depend on the layout."""
+    return np.ascontiguousarray((gains.transpose(1, 0, 2) @ mask[:, :, None])[..., 0].T)
 
 
 def instantaneous_common_rate(
@@ -194,7 +215,8 @@ def instantaneous_private_rate(
     For DPC-family strategies the interference from streams encoded before
     user k survives only through the estimation-error channel; streams
     encoded after contribute in full.  Linear strategies see every other
-    private stream in full.
+    private stream in full.  A reference: it reads the order itself, not
+    through ``interference_masks``, so that tests can check the masks against it.
     """
     g_true = np.abs(channel.conj() @ precoders.private) ** 2
     sig = g_true[user]

@@ -29,20 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ipm import Quadratics, find_strictly_feasible, kkt_parts, solve_barrier, solve_primal_dual
-from .strategies import CommonRateAlloc, PrecoderSet, Strategy
-from .wmmse import COMMON, LN2, PRIVATE, QuadCoefficients
+from .strategies import CommonRateAlloc, PrecoderSet, Strategy, interference_masks
+from .wmmse import LN2, QuadCoefficients
 
 _PSD_TOL = -1e-9
-
-
-def _lift_hermitian(mat: np.ndarray) -> np.ndarray:
-    """Real symmetric matrix B with [x;y]' B [x;y] = p^H M p for p = x + iy."""
-    return np.block([[mat.real, -mat.imag], [mat.imag, mat.real]])
-
-
-def _lift_vector(vec: np.ndarray) -> np.ndarray:
-    """Real vector r with r'[x;y] = Re{f^H p}."""
-    return np.concatenate([vec.real, vec.imag])
 
 
 @dataclass(frozen=True)
@@ -107,55 +97,11 @@ class SubproblemSolution:
         return max(self.kkt_stationarity, self.kkt_primal, self.kkt_complementarity)
 
 
-def _validate_psd(coeffs: QuadCoefficients) -> None:
-    for group in (coeffs.common, coeffs.private):
-        for sc in group:
-            for mat in (sc.psi, sc.phi):
-                if mat is None:
-                    continue
-                if float(np.min(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)))) < _PSD_TOL:
-                    raise ValueError("coefficient matrix is not PSD within tolerance")
-
-
-def _xi_quadratic(
-    coeffs: QuadCoefficients,
-    stream: str,
-    user: int,
-    num_tx: int,
-    num_users: int,
-    dim: int,
-    nu: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Averaged-WMSE surrogate of one (stream, user) as (A, b, c) in z."""
-    sc = coeffs.stream(stream, user)
-    A = np.zeros((dim, dim))
-    b = np.zeros(dim)
-    w = 2 * num_tx
-
-    def add_block(col: int, mat: np.ndarray) -> None:
-        off = w * col
-        A[off : off + w, off : off + w] += _lift_hermitian(mat)
-
-    if stream == COMMON:
-        for col in range(num_users + 1):
-            add_block(col, sc.psi)
-        own_col = 0
-    else:
-        own_col = 1 + user
-        if coeffs.strategy.uses_dpc:
-            order = coeffs.order
-            pos = order.index(user)
-            add_block(own_col, sc.psi)
-            for j in order[pos + 1 :]:
-                add_block(1 + j, sc.psi)
-            for i in order[:pos]:
-                add_block(1 + i, sc.phi)
-        else:
-            for j in range(num_users):
-                add_block(1 + j, sc.psi)
-    off = w * own_col
-    b[off : off + w] = -2.0 * _lift_vector(sc.f)
-    return A, b, sc.t + sc.w - nu
+def _validate_psd(mats: np.ndarray) -> None:
+    """Reject a stack of coefficient matrices with an eigenvalue below _PSD_TOL."""
+    hermitian = 0.5 * (mats + mats.conj().swapaxes(-1, -2))
+    if float(np.min(np.linalg.eigvalsh(hermitian))) < _PSD_TOL:
+        raise ValueError("coefficient matrix is not PSD within tolerance")
 
 
 def build_subproblem(
@@ -169,6 +115,12 @@ def build_subproblem(
     pin_common: bool = False,
 ) -> SubproblemSpec:
     """Compile the convex program for fixed equalizers and weights.
+
+    Rows: common decodability and QoS per user, multicast QoS, power, one
+    sign row per slack.  A decodability/QoS row is one stream's averaged
+    WMSE; its A is block-diagonal over the K+1 precoder columns, with psi or
+    phi placed by ``interference_masks(coeffs.strategy, coeffs.order, K)``.
+    ``strategy`` sets the slacks; one small matrix couples them to the rows.
 
     ``pin_common`` drops the slack vector and the common-stream constraints
     entirely; it is only valid when the multicast threshold is zero (the
@@ -187,60 +139,75 @@ def build_subproblem(
         raise ValueError("pin_common requires a zero multicast threshold")
     if strategy.uses_dpc and (order is None or coeffs.order != tuple(order)):
         raise ValueError("DPC-family subproblems need the coefficients' encoding order")
-    _validate_psd(coeffs)
+    mats = np.stack(
+        [sc.psi for sc in coeffs.common + coeffs.private] + [sc.phi for sc in coeffs.private]
+    )
+    _validate_psd(mats)
 
-    num_tx = coeffs.common[0].psi.shape[0]
+    num_tx = mats.shape[-1]
     if pin_common:
         num_slack = 0
     elif strategy.has_common_unicast:
         num_slack = k_users + 1
     else:
         num_slack = 1
-    slack_off = 2 * num_tx * (k_users + 1)
+    cols = k_users + 1
+    w = 2 * num_tx
+    slack_off = w * cols
     dim = slack_off + num_slack
+    common_rows = 0 if pin_common else k_users
+    multicast_rows = 0 if pin_common else 1
+    labels = (
+        tuple(f"common_decodability_user{k}" for k in range(common_rows))
+        + tuple(f"qos_user{k}" for k in range(k_users))
+        + ("multicast_qos",) * multicast_rows
+        + ("power",)
+        + tuple(f"sign_x{j}" for j in range(num_slack))
+    )
+    xi_rows = common_rows + k_users
 
-    def slack_unit(j: int) -> np.ndarray:
-        e = np.zeros(dim)
-        e[slack_off + j] = 1.0
-        return e
+    # p^H M p = [x; y]' [[Re M, -Im M], [Im M, Re M]] [x; y] for p = x + iy.
+    psi_c, psi_p, phi_p = np.split(np.block([[mats.real, -mats.imag], [mats.imag, mats.real]]), 3)
+    channel, error = interference_masks(coeffs.strategy, coeffs.order, k_users)
+    reach = np.eye(k_users) + channel               # own stream and streams seen in full
+    blocks = np.zeros((len(labels), cols, w, w))
+    blocks[:common_rows] = psi_c[:common_rows, None]
+    blocks[common_rows:xi_rows, 1:] = (
+        reach[:, :, None, None] * psi_p[:, None] + error[:, :, None, None] * phi_p[:, None]
+    )
+    blocks[labels.index("power")] = np.eye(w)
+    A = np.zeros((len(labels), dim, dim))
+    for j in range(cols):
+        A[:, j * w : (j + 1) * w, j * w : (j + 1) * w] = blocks[:, j]
 
-    xi_private = [
-        _xi_quadratic(coeffs, PRIVATE, k, num_tx, k_users, dim, coeffs.private[k].nu_nats)
-        for k in range(k_users)
-    ]
-    xi_common = [
-        _xi_quadratic(coeffs, COMMON, k, num_tx, k_users, dim, coeffs.common[k].nu_nats)
-        for k in range(k_users)
-    ]
+    streams = coeffs.common[:common_rows] + coeffs.private
+    own_cols = [0] * common_rows + list(range(1, cols))
+    f = np.stack([sc.f for sc in streams])          # Re{f^H p} = [Re f; Im f]' [x; y]
+    precoder_b = np.zeros((len(labels), cols, w))
+    precoder_b[np.arange(xi_rows), own_cols] = -2.0 * np.concatenate([f.real, f.imag], axis=-1)
+    slack_b = np.vstack([
+        -np.ones((common_rows, num_slack)),     # every slack spends the common rate
+        np.eye(k_users, num_slack, 1),          # X_k credits user k (no X_k with one slack)
+        np.eye(multicast_rows, num_slack),      # X_0 against the multicast threshold
+        np.zeros((1, num_slack)),               # power
+        np.eye(num_slack),                      # signs
+    ])
+    b = np.concatenate([precoder_b.reshape(len(labels), slack_off), slack_b], axis=1)
 
-    obj_A = np.zeros((dim, dim))
-    obj_b = np.zeros(dim)
-    obj_c = 0.0
-    for k, (A, b, c) in enumerate(xi_private):
-        obj_A += weights[k] * A
-        obj_b += weights[k] * b
-        obj_c += weights[k] * c
-        if num_slack > 1:
-            obj_b += weights[k] * slack_unit(1 + k)
+    xi_c = np.array([sc.t + sc.w - sc.nu_nats for sc in streams])
+    c = np.concatenate([
+        xi_c[:common_rows] - 1.0,
+        xi_c[common_rows:] - 1.0 + unicast_thresholds * LN2,
+        [multicast_threshold * LN2] * multicast_rows,
+        [-power_budget],
+        np.zeros(num_slack),
+    ])
 
-    # One (A, b, c, label) per constraint row; affine rows carry A = 0.
-    zero = np.zeros((dim, dim))
-    rows: list[tuple[np.ndarray, np.ndarray, float, str]] = []
-    if not pin_common:
-        slack_sum = sum(slack_unit(j) for j in range(num_slack))
-        for k, (A, b, c) in enumerate(xi_common):
-            rows.append((A, b - slack_sum, c - 1.0, f"common_decodability_user{k}"))
-    for k, (A, b, c) in enumerate(xi_private):
-        b = b + (slack_unit(1 + k) if num_slack > 1 else 0.0)
-        rows.append((A, b, c - 1.0 + unicast_thresholds[k] * LN2, f"qos_user{k}"))
-    if not pin_common:
-        rows.append((zero, slack_unit(0), multicast_threshold * LN2, "multicast_qos"))
-    power_A = np.zeros((dim, dim))
-    power_A[:slack_off, :slack_off] = np.eye(slack_off)
-    rows.append((power_A, np.zeros(dim), -power_budget, "power"))
-    for j in range(num_slack):
-        rows.append((zero, slack_unit(j), 0.0, f"sign_x{j}"))
-    A, b, c, labels = zip(*rows)
+    # The objective: the QoS rows without their shift, weighted and summed in user order.
+    qos = slice(common_rows, xi_rows)
+    obj_A = sum(u * row for u, row in zip(weights, A[qos]))
+    obj_b = sum(u * row for u, row in zip(weights, b[qos]))
+    obj_c = sum(u * value for u, value in zip(weights, xi_c[qos]))
 
     return SubproblemSpec(
         unicast_thresholds=unicast_thresholds,
@@ -251,7 +218,7 @@ def build_subproblem(
         num_tx=num_tx,
         num_slack=num_slack,
         objective=Quadratics(obj_A[None], obj_b[None], np.array([obj_c])),
-        constraints=Quadratics(np.stack(A), np.stack(b), np.array(c, dtype=float)),
+        constraints=Quadratics(A, b, c),
         constraint_labels=labels,
     )
 
@@ -348,10 +315,7 @@ def solve(
     precoders, xhat = spec.unpack(z)
 
     chat_bits = np.zeros(spec.num_users + 1)
-    if spec.num_slack == 1:
-        chat_bits[0] = -xhat[0] / LN2
-    elif spec.num_slack > 1:
-        chat_bits = -xhat / LN2
+    chat_bits[: spec.num_slack] = -xhat / LN2           # [X_0] or [X_0, ..., X_K]
     chat_bits[chat_bits < 1e-9] = 0.0
     status = "optimal" if max(stationarity, primal, complementarity) <= tol else "max_iter"
     return SubproblemSolution(

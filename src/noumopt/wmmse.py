@@ -48,7 +48,8 @@ def effective_power_T(
     Common stream: every precoder contributes through the true channel.
     Private stream: the common precoder is absent (removed by SIC); for the
     DPC family, earlier-encoded streams contribute through the error channel
-    only and later-encoded streams in full.
+    only and later-encoded streams in full.  A reference: it reads the order
+    itself, not through ``interference_masks``, so that tests can check the masks.
     """
     g_true = np.abs(channel.conj() @ precoders.private) ** 2
     if stream == COMMON:
@@ -244,7 +245,8 @@ def assemble_coefficients(
 
 
 def _omega(coeffs: QuadCoefficients, precoders: PrecoderSet, stream: str, user: int) -> float:
-    """Quadratic received-power part of the averaged WMSE for one stream."""
+    """Quadratic received-power part of the averaged WMSE for one stream: a reference
+    that reads the order itself, not through ``interference_masks``, for the tests."""
     sc = coeffs.stream(stream, user)
 
     def quad(mat: np.ndarray, p: np.ndarray) -> float:

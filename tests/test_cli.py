@@ -112,6 +112,16 @@ class TestExitCodes:
                      ["--strategy", "dpc"], "config error", id="solve-order-cap"),
         pytest.param("validate", None, ["--seed", "-1"], "config error",
                      id="validate-seed-negative"),
+        pytest.param("region", {"weight_grid": [-1.0]}, [], "config error",
+                     id="weight-grid-negative"),
+        pytest.param("region", {"weight_grid": [1.0, 0.0]}, [], "config error",
+                     id="weight-grid-zero"),
+        pytest.param("region", {"weight_grid": [float("inf")]}, [], "config error",
+                     id="weight-grid-infinite"),
+        pytest.param("region", {"weight_grid": [float("nan")]}, [], "config error",
+                     id="weight-grid-nan"),
+        pytest.param("region", {"weight_grid": []}, [], "config error", id="weight-grid-empty"),
+        pytest.param("esr-alpha", {"alpha_grid": []}, [], "config error", id="alpha-grid-empty"),
     ])
     def test_rejected_before_any_task(self, tmp_path, monkeypatch, capsys, command, update,
                                       flags, message):
@@ -155,6 +165,21 @@ class TestSolveCommand:
         assert summary["status"] in ("converged", "max_iter")
         assert len(summary["per_user_totals"]) == 2
         assert summary["kkt_residual"] <= 1e-7
+
+    def test_infeasible_solve_prints_strict_json(self, tmp_path, capsys):
+        system = {"num_users": 1, "num_tx_antennas": 1, "snr_db": 20.0, "csit_alpha": 0.6,
+                  "channel_variances": [1.0], "master_seed": 1}
+        cfg = write_config(tmp_path, {**GOOD, "system": system, "sample_count": 32,
+                                      "multicast_threshold": 4.6, "ao": {"max_iterations": 40}})
+        assert main(["solve", "--config", str(cfg), "--strategy", "rs1"]) == 2
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        summary = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert summary["status"] == "infeasible"
+        for key in ("wasr", "per_user_totals", "common_alloc", "kkt_residual"):
+            assert summary[key] is None
 
     def test_solve_unknown_strategy(self, tmp_path):
         cfg = write_config(tmp_path, GOOD)

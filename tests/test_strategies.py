@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from noumopt import (
     wasr,
 )
 from noumopt.channel import ChannelEstimate
+from noumopt.strategies import interference_masks
 
 
 def cvec(*entries):
@@ -227,6 +230,36 @@ class TestBoundAllocAndWasr:
         assert wasr(np.array([3.0, 3.0]), np.array([2.5, 1.5])) == pytest.approx(12.0)
         with pytest.raises(ValueError):
             wasr(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+
+
+class TestInterferenceMasks:
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_masks_split_the_other_streams(self, k, strategy):
+        for order in itertools.permutations(range(k)):
+            channel, error = interference_masks(strategy, order, k)
+            for mask in (channel, error):
+                assert mask.shape == (k, k)
+                assert np.all((mask == 0.0) | (mask == 1.0))
+                assert not mask.flags.writeable
+            assert not np.any((channel == 1.0) & (error == 1.0))
+            assert np.array_equal(channel + error, 1.0 - np.eye(k))
+            if strategy.uses_dpc:
+                later = [[order.index(j) > order.index(user) for j in range(k)]
+                         for user in range(k)]
+                assert np.array_equal(channel, np.array(later, dtype=float))
+            else:
+                assert not np.any(error)
+                channel_none, error_none = interference_masks(strategy, None, k)
+                assert np.array_equal(channel_none, channel)
+                assert np.array_equal(error_none, error)
+
+    def test_dpc_needs_an_order(self):
+        for strategy in (Strategy.DPC, Strategy.DPCRS1):
+            with pytest.raises(ValueError):
+                interference_masks(strategy, None, 2)
+            with pytest.raises(ValueError):
+                interference_masks(strategy, (0, 0), 2)
 
 
 class TestPrecoderSetValidation:

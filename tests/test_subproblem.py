@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -23,12 +24,16 @@ from noumopt import subproblem as subproblem_module
 from noumopt.wmmse import LN2
 
 
-def make_instance(seed=0, k=2, n_t=2, m=8, strategy=Strategy.DPCRS1, snr_db=20.0, alpha=0.6):
+def make_instance(seed=0, k=2, n_t=2, m=8, strategy=Strategy.DPCRS1, snr_db=20.0, alpha=0.6,
+                  order=None):
     cfg = SystemConfig(k, n_t, snr_db, alpha, (1.0,) * k, seed)
     est = draw_estimate(cfg, 0)
     samples = draw_sample_set(cfg, est, m, 0)
     rng = np.random.default_rng(seed + 1000)
-    order = tuple(range(k)) if strategy.uses_dpc else None
+    if not strategy.uses_dpc:
+        order = None
+    elif order is None:
+        order = tuple(range(k))
     prec = PrecoderSet(
         rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t),
         rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k)),
@@ -144,6 +149,34 @@ class TestBuildStructure:
                 u[k] * (xhat[1 + k] + xi_hat_nats(coeffs, p, PRIVATE, k)) for k in range(2)
             )
             assert abs(spec.objective_value(p, xhat) - manual) <= 1e-10
+
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_xi_rows_equal_xi_hat_nats(self, k, strategy):
+        # At xhat = 0 with zero unicast thresholds, each common-decodability
+        # and QoS row is its stream's averaged WMSE minus 1, for every order.
+        orders = itertools.permutations(range(k)) if strategy.uses_dpc else [None]
+        for order in orders:
+            cfg, samples, prec, coeffs, order = make_instance(
+                seed=11, k=k, strategy=strategy, order=order
+            )
+            spec = build_subproblem(
+                coeffs, np.ones(k), np.zeros(k), 0.0, cfg.transmit_power, strategy, order
+            )
+            rng = np.random.default_rng(k)
+            for _ in range(2):
+                p = PrecoderSet(
+                    rng.standard_normal(2) + 1j * rng.standard_normal(2),
+                    rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k)),
+                    order,
+                )
+                values = spec.constraint_values(p, np.zeros(spec.num_slack))
+                for stream, label in ((COMMON, "common_decodability_user"), (PRIVATE, "qos_user")):
+                    for user in range(k):
+                        row = values[spec.constraint_labels.index(f"{label}{user}")]
+                        xi = xi_hat_nats(coeffs, p, stream, user)
+                        assert abs(row - (xi - 1.0)) <= 1e-12 * max(1.0, abs(xi))
 
 
 class TestSolve:
