@@ -28,7 +28,6 @@ from .strategies import (
     instantaneous_common_rate,
     instantaneous_private_rate,
     sampled_average_rates,
-    total_unicast_rates,
     wasr,
 )
 from .subproblem import (
@@ -41,10 +40,7 @@ from .subproblem import (
 from .wmmse import (
     COMMON,
     PRIVATE,
-    EqualizerSet,
     QuadCoefficients,
-    StreamCoefficients,
-    WeightSet,
     assemble_coefficients,
     effective_power_T,
     mmse_equalizer,

@@ -28,7 +28,7 @@ from .strategies import (
     wasr,
 )
 from .subproblem import SubproblemSolution, build_subproblem, solve
-from .wmmse import assemble_coefficients, update_equalizers_weights
+from .wmmse import COMMON, LN2, QuadCoefficients, assemble_coefficients, update_equalizers_weights
 
 # Common-stream surrogate rate below which the stream is treated as off
 # (only when no multicast rate is required); bounds the one-step WASR loss.
@@ -144,14 +144,14 @@ def _seed_alloc(
 def _should_pin_common(
     strategy: Strategy,
     multicast_threshold: float,
-    coeffs,
+    coeffs: QuadCoefficients,
     prev_alloc: CommonRateAlloc,
 ) -> bool:
     if multicast_threshold > 0:
         return False
     if not strategy.has_common_unicast:
         return True
-    surrogate_rate = max(sc.nu_bits for sc in coeffs.common)
+    surrogate_rate = float(np.max(coeffs.nu[COMMON])) / LN2
     return surrogate_rate < _PIN_RATE_TOL and prev_alloc.total() < _PIN_RATE_TOL
 
 
@@ -331,8 +331,8 @@ def _run_ao(
     last_kkt = np.inf
 
     for _ in range(ao.max_iterations):
-        eq, wt = update_equalizers_weights(strategy, samples, precoders)
-        coeffs = assemble_coefficients(strategy, samples, eq, wt, order)
+        g, w = update_equalizers_weights(strategy, samples, precoders)
+        coeffs = assemble_coefficients(strategy, samples, g, w, order)
         pin = _should_pin_common(strategy, multicast_threshold, coeffs, alloc)
         spec = build_subproblem(
             coeffs,

@@ -124,10 +124,17 @@ def _integer(value) -> int:
 
 
 def _real(value) -> float:
-    """A JSON number as a float; booleans, strings and null are errors."""
+    """A finite JSON number as a float; booleans, strings, null, NaN, infinities
+    and integers beyond the float range are errors."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        result = float(value)
+    except OverflowError:
+        result = math.inf
+    if not math.isfinite(result):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return result
 
 
 def _boolean(value) -> bool:
@@ -519,17 +526,6 @@ def region_points(records: list[ResultRecord]) -> dict[str, list[RegionPoint]]:
     return out
 
 
-def alpha_curves(records: list[ResultRecord]) -> dict[str, list[tuple[float, float, float]]]:
-    """Per-strategy (alpha, ESR, SE) curve points, sorted by alpha."""
-    seen: dict[str, dict[float, tuple[float, float]]] = {}
-    for rec in records:
-        seen.setdefault(rec.strategy, {})[rec.alpha] = (rec.esr, rec.se)
-    return {
-        strategy: [(alpha,) + values[alpha] for alpha in sorted(values)]
-        for strategy, values in seen.items()
-    }
-
-
 def upper_right_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Non-dominated upper-right convex hull of a 2-D point cloud."""
     pts = sorted(set(points))
@@ -622,14 +618,14 @@ def check_xi_hat_equivalence(seed: int, count: int) -> float:
             rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k)),
             order,
         )
-        eq, wt = update_equalizers_weights(strategy, samples, assembly)
-        coeffs = assemble_coefficients(strategy, samples, eq, wt, order)
+        g, w = update_equalizers_weights(strategy, samples, assembly)
+        coeffs = assemble_coefficients(strategy, samples, g, w, order)
         for user in range(k):
-            for s_idx, stream in enumerate((COMMON, PRIVATE)):
+            for stream in (COMMON, PRIVATE):
                 p_i = target.common if stream == COMMON else target.private[:, user]
                 direct = np.mean([
                     weighted_mse_bits(
-                        eq.values[m, user, s_idx], wt.values[m, user, s_idx],
+                        g[m, user, stream], w[m, user, stream],
                         effective_power_T(strategy, stream, user,
                                           samples.realizations[m, :, user],
                                           samples.errors[m, :, user], target),
@@ -659,8 +655,8 @@ def check_subproblem_kkt(seeds) -> float:
         )
         scale = np.sqrt(0.8 * cfg.transmit_power / prec.total_power())
         prec = PrecoderSet(prec.common * scale, prec.private * scale, order)
-        eq, wt = update_equalizers_weights(strategy, samples, prec)
-        coeffs = assemble_coefficients(strategy, samples, eq, wt, order)
+        g, w = update_equalizers_weights(strategy, samples, prec)
+        coeffs = assemble_coefficients(strategy, samples, g, w, order)
         spec = build_subproblem(
             coeffs, np.ones(k), np.zeros(k), 0.1, cfg.transmit_power, strategy, order
         )

@@ -182,6 +182,12 @@ def solve_barrier(
     constraint whose multiplier is still small (the barrier weights the
     constraint curvature by 1/(-f), which grows near the wall); used both as
     the stall fallback and as the phase-1 engine.
+
+    The status is ``optimal`` only when every centering reached its Newton
+    decrement test and m / t <= tol; ``stalled`` when m / t <= tol but some
+    centering broke off (line search failed, or its step cap was used), so
+    the multipliers 1 / (t * -f) need not be dual feasible; ``max_iter`` when
+    max_iter Newton steps ran out first.
     """
     m = len(constraints)
     z = np.asarray(z0, dtype=float).copy()
@@ -192,7 +198,7 @@ def solve_barrier(
     t = 1.0
     gap_trace: list[float] = []
     total_newton = 0
-    status = "optimal"
+    centered = True
     while m / t > tol and total_newton < max_iter:
         for _ in range(80):
             if early_stop is not None and early_stop(z):
@@ -209,7 +215,7 @@ def solve_barrier(
             dz = _solve_sym(H, -grad)
             decrement = float(-grad @ dz)
             if decrement / 2.0 <= 1e-12:
-                break
+                break   # centered
             s = 1.0
             v0 = t * objective.values(z)[0] - float(np.sum(np.log(-fvals)))
             for _ in range(60):
@@ -221,15 +227,20 @@ def solve_barrier(
                         break
                 s *= 0.5
             else:
+                centered = False
                 break
             z = z_new
             if total_newton >= max_iter:
+                centered = False
                 break
+        else:
+            centered = False
         gap_trace.append(m / t)
         t *= _BARRIER_MU
+    if m / t > tol:
+        status = "max_iter"
     else:
-        if m / t > tol:
-            status = "max_iter"
+        status = "optimal" if centered else "stalled"
     fvals = constraints.values(z)
     lam = 1.0 / (t * np.maximum(-fvals, 1e-300))
     return IpmResult(z=z, lam=lam, status=status, iterations=total_newton,

@@ -105,10 +105,6 @@ class CommonRateAlloc:
     def total(self) -> float:
         return float(np.sum(self.rates))
 
-    @staticmethod
-    def zeros(num_users: int) -> "CommonRateAlloc":
-        return CommonRateAlloc(np.zeros(num_users + 1))
-
 
 @dataclass(frozen=True)
 class RateReport:
@@ -243,20 +239,6 @@ def sampled_average_rates(
     denom = _private_denominators(strategy, samples, precoders, g_true)
     private = np.log2(1.0 + g_true[..., own, own] / denom)
     return RateReport(common.mean(axis=0), private.mean(axis=0))
-
-
-def total_unicast_rates(report: RateReport, alloc: CommonRateAlloc, tol: float = 1e-9) -> np.ndarray:
-    """Per-user unicast totals C_k + private AR; rejects invalid allocations."""
-    if alloc.rates.shape[0] != report.num_users + 1:
-        raise ValueError("allocation length must be num_users + 1")
-    if np.any(alloc.rates < -tol):
-        raise ValueError("allocation entries must be >= 0")
-    if alloc.total() > report.common_bound + tol:
-        raise ValueError(
-            f"allocation total {alloc.total():.6g} exceeds the common-stream "
-            f"bound {report.common_bound:.6g}"
-        )
-    return alloc.per_user + report.private_per_user
 
 
 def wasr(weights: np.ndarray, totals: np.ndarray) -> float:

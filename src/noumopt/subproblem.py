@@ -30,7 +30,7 @@ import numpy as np
 
 from .ipm import Quadratics, find_strictly_feasible, kkt_parts, solve_barrier, solve_primal_dual
 from .strategies import CommonRateAlloc, PrecoderSet, Strategy, interference_masks
-from .wmmse import LN2, QuadCoefficients
+from .wmmse import COMMON, LN2, PRIVATE, QuadCoefficients
 
 _PSD_TOL = -1e-9
 
@@ -120,7 +120,10 @@ def build_subproblem(
     sign row per slack.  A decodability/QoS row is one stream's averaged
     WMSE; its A is block-diagonal over the K+1 precoder columns, with psi or
     phi placed by ``interference_masks(coeffs.strategy, coeffs.order, K)``.
-    ``strategy`` sets the slacks; one small matrix couples them to the rows.
+    The rows read slices of the stacked coefficients: ``psi`` and ``phi`` as
+    one (3K, N_t, N_t) stack, ``f`` and the constants ``t + w - nu`` per
+    stream.  ``strategy`` sets the slacks; one small matrix couples them to
+    the rows.
 
     ``pin_common`` drops the slack vector and the common-stream constraints
     entirely; it is only valid when the multicast threshold is zero (the
@@ -139,12 +142,10 @@ def build_subproblem(
         raise ValueError("pin_common requires a zero multicast threshold")
     if strategy.uses_dpc and (order is None or coeffs.order != tuple(order)):
         raise ValueError("DPC-family subproblems need the coefficients' encoding order")
-    mats = np.stack(
-        [sc.psi for sc in coeffs.common + coeffs.private] + [sc.phi for sc in coeffs.private]
-    )
+    num_tx = coeffs.f.shape[-1]
+    mats = np.concatenate([coeffs.psi.reshape(-1, num_tx, num_tx), coeffs.phi])
     _validate_psd(mats)
 
-    num_tx = mats.shape[-1]
     if pin_common:
         num_slack = 0
     elif strategy.has_common_unicast:
@@ -180,9 +181,9 @@ def build_subproblem(
     for j in range(cols):
         A[:, j * w : (j + 1) * w, j * w : (j + 1) * w] = blocks[:, j]
 
-    streams = coeffs.common[:common_rows] + coeffs.private
     own_cols = [0] * common_rows + list(range(1, cols))
-    f = np.stack([sc.f for sc in streams])          # Re{f^H p} = [Re f; Im f]' [x; y]
+    # Re{f^H p} = [Re f; Im f]' [x; y]
+    f = np.concatenate([coeffs.f[COMMON, :common_rows], coeffs.f[PRIVATE]])
     precoder_b = np.zeros((len(labels), cols, w))
     precoder_b[np.arange(xi_rows), own_cols] = -2.0 * np.concatenate([f.real, f.imag], axis=-1)
     slack_b = np.vstack([
@@ -194,10 +195,10 @@ def build_subproblem(
     ])
     b = np.concatenate([precoder_b.reshape(len(labels), slack_off), slack_b], axis=1)
 
-    xi_c = np.array([sc.t + sc.w - sc.nu_nats for sc in streams])
+    xi_c = coeffs.t + coeffs.w - coeffs.nu
     c = np.concatenate([
-        xi_c[:common_rows] - 1.0,
-        xi_c[common_rows:] - 1.0 + unicast_thresholds * LN2,
+        xi_c[COMMON, :common_rows] - 1.0,
+        xi_c[PRIVATE] - 1.0 + unicast_thresholds * LN2,
         [multicast_threshold * LN2] * multicast_rows,
         [-power_budget],
         np.zeros(num_slack),
@@ -207,7 +208,7 @@ def build_subproblem(
     qos = slice(common_rows, xi_rows)
     obj_A = sum(u * row for u, row in zip(weights, A[qos]))
     obj_b = sum(u * row for u, row in zip(weights, b[qos]))
-    obj_c = sum(u * value for u, value in zip(weights, xi_c[qos]))
+    obj_c = sum(u * value for u, value in zip(weights, xi_c[PRIVATE]))
 
     return SubproblemSpec(
         unicast_thresholds=unicast_thresholds,

@@ -18,7 +18,7 @@ Two augmented-WMSE flavours are exposed:
   a valid surrogate off the update point).
 
 Both flavours share all coefficients except the log term, so the assembled
-quadratics differ only in the constant nu.
+quadratics differ only in the constant: nu (nats) against nu / ln 2 (bits).
 """
 from __future__ import annotations
 
@@ -29,15 +29,16 @@ import numpy as np
 from .channel import SampleSet
 from .strategies import PrecoderSet, Strategy, _private_denominators, _stream_products
 
-COMMON = "common"
-PRIVATE = "private"
+# Stream indices: the stream axis of every stacked WMSE array.
+COMMON = 0
+PRIVATE = 1
 
 LN2 = float(np.log(2.0))
 
 
 def effective_power_T(
     strategy: Strategy,
-    stream: str,
+    stream: int,
     user: int,
     channel: np.ndarray,
     error: np.ndarray | None,
@@ -100,7 +101,7 @@ def rate_wmmse_identity_check(
     channel: np.ndarray,
     error: np.ndarray | None,
     precoders: PrecoderSet,
-    stream: str,
+    stream: int,
     user: int,
 ) -> tuple[float, float]:
     """Return (xi*, rate): xi* = w* mse(g*) - log2(w*) must equal 1 - rate."""
@@ -112,20 +113,6 @@ def rate_wmmse_identity_check(
     sig = abs(np.vdot(channel, p)) ** 2
     rate = float(np.log2(1.0 + sig / (T - sig)))
     return xi_star, rate
-
-
-@dataclass(frozen=True)
-class EqualizerSet:
-    """Scalar equalizers per (sample, user, stream); stream 0 = common, 1 = private."""
-
-    values: np.ndarray  # (M, K, 2) complex
-
-
-@dataclass(frozen=True)
-class WeightSet:
-    """MSE weights per (sample, user, stream); every weight >= 1."""
-
-    values: np.ndarray  # (M, K, 2) real
 
 
 def _sample_T(
@@ -152,139 +139,116 @@ def update_equalizers_weights(
     strategy: Strategy,
     samples: SampleSet,
     precoders: PrecoderSet,
-) -> tuple[EqualizerSet, WeightSet]:
-    """Closed-form g and w for every (sample, user, stream) at the given precoders."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form g and w at the given precoders, each (M, K, 2): sample, user, stream.
+
+    The stream axis is last and indexed by ``COMMON``/``PRIVATE``; every weight is >= 1.
+    """
     t_c, t_p, hp_c, hp_p = _sample_T(strategy, samples, precoders)
     g = np.stack([hp_c.conj() / t_c, hp_p.conj() / t_p], axis=-1)
     w = np.stack(
         [t_c / (t_c - np.abs(hp_c) ** 2), t_p / (t_p - np.abs(hp_p) ** 2)],
         axis=-1,
     )
-    return EqualizerSet(g), WeightSet(w)
-
-
-@dataclass(frozen=True)
-class StreamCoefficients:
-    """Sample-averaged quadratic constants of one (user, stream) WMSE.
-
-    psi and phi are Hermitian PSD; phi multiplies earlier-encoded precoders
-    through the error channel and is only assembled for private streams.
-    """
-
-    psi: np.ndarray          # (N_t, N_t)
-    phi: np.ndarray | None   # (N_t, N_t) for private streams, else None
-    t: float
-    f: np.ndarray            # (N_t,)
-    w: float
-    nu_bits: float
-    nu_nats: float
+    return g, w
 
 
 @dataclass(frozen=True)
 class QuadCoefficients:
-    """All per-(user, stream) averaged coefficients plus the strategy context."""
+    """Sample-averaged WMSE constants of every (stream, user), stream axis first.
 
-    common: tuple[StreamCoefficients, ...]
-    private: tuple[StreamCoefficients, ...]
+    Index ``COMMON`` (0) is the common stream, ``PRIVATE`` (1) the private one:
+    psi (2, K, N_t, N_t), t, w, nu (2, K) and f (2, K, N_t).  phi (K, N_t, N_t)
+    weighs the precoders that reach a private stream only through the CSIT
+    error, so only private streams have one.  psi and phi are Hermitian PSD.
+    nu is the mean of ln w (nats); the bits flavour is nu / LN2.
+    """
+
+    psi: np.ndarray
+    phi: np.ndarray
+    t: np.ndarray
+    f: np.ndarray
+    w: np.ndarray
+    nu: np.ndarray
     strategy: Strategy
     order: tuple[int, ...] | None
 
     @property
     def num_users(self) -> int:
-        return len(self.common)
-
-    def stream(self, stream: str, user: int) -> StreamCoefficients:
-        return self.common[user] if stream == COMMON else self.private[user]
-
-
-def _assemble_stream(
-    channels_h: np.ndarray,       # (M, N_t), rows h^H
-    errors_h: np.ndarray | None,  # (M, N_t), rows e^H
-    g: np.ndarray,                # (M,)
-    w: np.ndarray,                # (M,)
-) -> StreamCoefficients:
-    """One stream's averages; phi is assembled only when ``errors_h`` is given."""
-    m = channels_h.shape[0]
-    t = w * np.abs(g) ** 2
-    channels = channels_h.conj()
-    psi = (t[:, None] * channels).T @ channels_h / m
-    phi = None
-    if errors_h is not None:
-        phi = (t[:, None] * errors_h.conj()).T @ errors_h / m
-    f = (w * g.conj()) @ channels / m
-    log_w = np.log(w)
-    return StreamCoefficients(
-        psi=psi,
-        phi=phi,
-        t=float(t.mean()),
-        f=f,
-        w=float(w.mean()),
-        nu_bits=float(log_w.mean() / LN2),
-        nu_nats=float(log_w.mean()),
-    )
+        return self.t.shape[1]
 
 
 def assemble_coefficients(
     strategy: Strategy,
     samples: SampleSet,
-    equalizers: EqualizerSet,
-    weights: WeightSet,
+    g: np.ndarray,
+    w: np.ndarray,
     order: tuple[int, ...] | None,
 ) -> QuadCoefficients:
-    """Average t, Psi, Phi, f, w, nu over the M samples for every (user, stream)."""
-    common, private = [], []
-    for k in range(samples.estimate.num_users):
-        h_k = samples.realizations_h[:, k]
-        common.append(
-            _assemble_stream(h_k, None, equalizers.values[:, k, 0], weights.values[:, k, 0])
-        )
-        private.append(_assemble_stream(
-            h_k, samples.errors_h[:, k], equalizers.values[:, k, 1], weights.values[:, k, 1]
-        ))
-    return QuadCoefficients(tuple(common), tuple(private), strategy, order)
+    """Average t, Psi, Phi, f, w, nu over the M samples for every (stream, user).
+
+    ``g`` and ``w`` are the (M, K, 2) arrays of ``update_equalizers_weights``.
+    Each average is one batched product over (stream, user), on the rows h^H
+    and e^H read as (K, M, N_t) views, not copies, so each user's product
+    sees the strides of a 2-D product on ``realizations_h[:, k]`` (at N_t = 1
+    BLAS picks its dot kernel by stride).  The means run along a contiguous
+    sample axis, which gives the same bits as a per-user 1-D mean.
+    """
+    m = g.shape[0]
+    g, w = np.ascontiguousarray(g.T), np.ascontiguousarray(w.T)   # (2, K, M)
+    t = w * np.abs(g) ** 2
+    channels_h = samples.realizations_h.transpose(1, 0, 2)          # (K, M, N_t), rows h^H
+    errors_h = samples.errors_h.transpose(1, 0, 2)
+    channels = np.conj(channels_h, order="C")
+    psi = (t[..., None] * channels).swapaxes(-1, -2) @ channels_h / m
+    errors = np.conj(errors_h, order="C")
+    phi = (t[PRIVATE, ..., None] * errors).swapaxes(-1, -2) @ errors_h / m
+    f = ((w * g.conj())[..., None, :] @ channels)[..., 0, :] / m
+    return QuadCoefficients(
+        psi, phi, t.mean(-1), f, w.mean(-1), np.log(w).mean(-1), strategy, order
+    )
 
 
-def _omega(coeffs: QuadCoefficients, precoders: PrecoderSet, stream: str, user: int) -> float:
+def _omega(coeffs: QuadCoefficients, precoders: PrecoderSet, stream: int, user: int) -> float:
     """Quadratic received-power part of the averaged WMSE for one stream: a reference
     that reads the order itself, not through ``interference_masks``, for the tests."""
-    sc = coeffs.stream(stream, user)
+    psi = coeffs.psi[stream, user]
 
     def quad(mat: np.ndarray, p: np.ndarray) -> float:
         return float(np.real(np.vdot(p, mat @ p)))
 
     if stream == COMMON:
-        total = quad(sc.psi, precoders.common)
+        total = quad(psi, precoders.common)
         for j in range(precoders.num_users):
-            total += quad(sc.psi, precoders.private[:, j])
+            total += quad(psi, precoders.private[:, j])
         return total
     if coeffs.strategy.uses_dpc:
         order = coeffs.order if coeffs.order is not None else precoders.require_order()
         pos = order.index(user)
-        total = quad(sc.psi, precoders.private[:, user])
+        total = quad(psi, precoders.private[:, user])
         for j in order[pos + 1:]:
-            total += quad(sc.psi, precoders.private[:, j])
+            total += quad(psi, precoders.private[:, j])
         for i in order[:pos]:
-            total += quad(sc.phi, precoders.private[:, i])
+            total += quad(coeffs.phi[user], precoders.private[:, i])
         return total
-    return sum(quad(sc.psi, precoders.private[:, j]) for j in range(precoders.num_users))
+    return sum(quad(psi, precoders.private[:, j]) for j in range(precoders.num_users))
 
 
-def _xi_core(coeffs: QuadCoefficients, precoders: PrecoderSet, stream: str, user: int) -> float:
-    sc = coeffs.stream(stream, user)
+def _xi_core(coeffs: QuadCoefficients, precoders: PrecoderSet, stream: int, user: int) -> float:
     p_i = precoders.common if stream == COMMON else precoders.private[:, user]
-    return (
+    return float(
         _omega(coeffs, precoders, stream, user)
-        + sc.t
-        - 2.0 * float(np.real(np.vdot(sc.f, p_i)))
-        + sc.w
+        + coeffs.t[stream, user]
+        - 2.0 * float(np.real(np.vdot(coeffs.f[stream, user], p_i)))
+        + coeffs.w[stream, user]
     )
 
 
-def xi_hat(coeffs: QuadCoefficients, precoders: PrecoderSet, stream: str, user: int) -> float:
+def xi_hat(coeffs: QuadCoefficients, precoders: PrecoderSet, stream: int, user: int) -> float:
     """Sample-averaged WMSE (bits flavour): equals mean_m [w eps - log2 w] exactly."""
-    return _xi_core(coeffs, precoders, stream, user) - coeffs.stream(stream, user).nu_bits
+    return _xi_core(coeffs, precoders, stream, user) - float(coeffs.nu[stream, user] / LN2)
 
 
-def xi_hat_nats(coeffs: QuadCoefficients, precoders: PrecoderSet, stream: str, user: int) -> float:
+def xi_hat_nats(coeffs: QuadCoefficients, precoders: PrecoderSet, stream: int, user: int) -> float:
     """Sample-averaged WMSE (nats flavour): the surrogate the subproblem minimizes."""
-    return _xi_core(coeffs, precoders, stream, user) - coeffs.stream(stream, user).nu_nats
+    return _xi_core(coeffs, precoders, stream, user) - float(coeffs.nu[stream, user])

@@ -111,8 +111,8 @@ def test_criterion_4_subproblem_correctness():
     )
     scale = np.sqrt(0.8 * cfg.transmit_power / prec.total_power())
     prec = PrecoderSet(prec.common * scale, prec.private * scale, None)
-    eq, wt = update_equalizers_weights(Strategy.RS1, samples, prec)
-    coeffs = assemble_coefficients(Strategy.RS1, samples, eq, wt, None)
+    g, w = update_equalizers_weights(Strategy.RS1, samples, prec)
+    coeffs = assemble_coefficients(Strategy.RS1, samples, g, w, None)
     spec = build_subproblem(
         coeffs, np.ones(1), np.zeros(1), 0.0, cfg.transmit_power, Strategy.RS1, None
     )
@@ -120,11 +120,9 @@ def test_criterion_4_subproblem_correctness():
     worst_kkt = max(worst_kkt, sol.kkt_residual)
     solves += 1
 
-    sc_c, sc_p = coeffs.common[0], coeffs.private[0]
-    psi_c, psi_p = float(np.real(sc_c.psi[0, 0])), float(np.real(sc_p.psi[0, 0]))
-    fc, fp = abs(sc_c.f[0]), abs(sc_p.f[0])
-    const_c = sc_c.t + sc_c.w - sc_c.nu_nats
-    const_p = sc_p.t + sc_p.w - sc_p.nu_nats
+    psi_c, psi_p = np.real(coeffs.psi[:, 0, 0, 0])
+    fc, fp = np.abs(coeffs.f[:, 0, 0])
+    const_c, const_p = coeffs.t[:, 0] + coeffs.w[:, 0] - coeffs.nu[:, 0]
     p_t = cfg.transmit_power
 
     def reduced(rc, rp):

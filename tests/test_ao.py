@@ -173,8 +173,8 @@ class TestNesting:
         est = draw_estimate(cfg, 0)
         samples = draw_sample_set(cfg, est, 8, 0)
         prec = initialize_precoders(est, Strategy.DPC, cfg, (0, 1))
-        eq, wt = update_equalizers_weights(Strategy.DPC, samples, prec)
-        coeffs = assemble_coefficients(Strategy.DPC, samples, eq, wt, (0, 1))
+        g, w = update_equalizers_weights(Strategy.DPC, samples, prec)
+        coeffs = assemble_coefficients(Strategy.DPC, samples, g, w, (0, 1))
         spec_dpc = build_subproblem(
             coeffs, np.ones(2), np.zeros(2), 0.2, cfg.transmit_power, Strategy.DPC, (0, 1)
         )

@@ -122,6 +122,17 @@ class TestExitCodes:
                      id="weight-grid-nan"),
         pytest.param("region", {"weight_grid": []}, [], "config error", id="weight-grid-empty"),
         pytest.param("esr-alpha", {"alpha_grid": []}, [], "config error", id="alpha-grid-empty"),
+        pytest.param("region", {}, ["--eps", "nan"], "config error", id="eps-nan"),
+        pytest.param("esr-alpha", {"alpha_grid": [0.5, float("nan")]}, [], "config error",
+                     id="alpha-grid-nan"),
+        pytest.param("region", {"system": {**GOOD["system"], "snr_db": float("inf")}}, [],
+                     "config error", id="snr-infinite"),
+        pytest.param("region", {"multicast_threshold": float("inf")}, [], "config error",
+                     id="multicast-infinite"),
+        pytest.param("region", {"ao": {"convergence_eps": float("nan")}}, [], "config error",
+                     id="ao-eps-nan"),
+        pytest.param("region", {"system": {**GOOD["system"], "snr_db": 10**400}}, [],
+                     "config error", id="snr-beyond-float-range"),
     ])
     def test_rejected_before_any_task(self, tmp_path, monkeypatch, capsys, command, update,
                                       flags, message):

@@ -14,7 +14,6 @@ from noumopt.experiments import (
     ConfigError,
     ExperimentSpec,
     InfeasibleEverywhereError,
-    alpha_curves,
     config_hash,
     load_config,
     region_points,
@@ -308,23 +307,6 @@ class TestEsrAlphaRun:
         assert np.all(samples.errors == 0)
         res = optimize_strategy(cfg, Strategy.DPC, est, samples, np.ones(2), ao=spec.ao)
         assert records[0].esr == pytest.approx(res.wasr, abs=1e-12)
-
-    def test_alpha_curves_accessor(self):
-        spec = spec_from_dict({
-            "system": {"num_users": 2, "num_tx_antennas": 2, "snr_db": 15.0,
-                       "csit_alpha": 0.5, "channel_variances": [1.0, 1.0],
-                       "master_seed": 5},
-            "strategies": ["mulp"],
-            "sample_count": 8,
-            "num_realizations": 2,
-            "alpha_grid": [0.8, 0.2],
-            "ao": {"max_iterations": 30},
-        })
-        curves = alpha_curves(run_esr_alpha(spec))
-        assert list(curves) == ["mulp"]
-        alphas = [pt[0] for pt in curves["mulp"]]
-        assert alphas == [0.2, 0.8]
-        assert all(len(pt) == 3 for pt in curves["mulp"])
 
 
 class TestHull:

@@ -145,6 +145,24 @@ class TestBarrier:
         res = solve_barrier(objective, constraints, np.zeros(2), tol=1e-9)
         trace = np.array(res.gap_trace)
         assert np.all(np.diff(trace) < 0)
+        assert res.status == "optimal"
+
+    def test_broken_off_centering_is_not_optimal(self):
+        # min z s.t. z^2 - 1 <= 0 (optimum -1), with values that read infeasible
+        # everywhere but the start, so every centering line search fails.
+        class OnlyStartFeasible(Quadratics):
+            def values(self, z):
+                exact = super().values(z)
+                return exact if np.all(z == 0.0) else np.ones_like(exact)
+
+        objective = stack((None, [1.0], 0.0))
+        constraints = OnlyStartFeasible(np.ones((1, 1, 1)), np.zeros((1, 1)), np.array([-1.0]))
+        res = solve_barrier(objective, constraints, np.zeros(1), tol=1e-9)
+        assert res.z == pytest.approx([0.0])
+        assert res.gap <= 1e-9
+        assert res.status == "stalled"
+        pd = solve_primal_dual(objective, constraints, np.zeros(1), tol=1e-9)
+        assert pd.status == "stalled"
 
 
 class TestPhase1:

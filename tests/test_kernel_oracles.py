@@ -1,11 +1,11 @@
 """The vectorized SAA kernels against the scalar per-sample oracles.
 
 For K = 1, 2, 3 users, every strategy and every encoding order, the sampled
-rates, the closed-form equalizers and weights, and the assembled psi, phi and
-f are recomputed sample by sample from the scalar functions.  Tolerances are
-relative (1e-12), taken against the largest entry of each compared array so
-that an entry that nearly cancels is not held to a tighter bound than its
-neighbours.
+rates, the closed-form equalizers and weights, the assembled psi, phi and f,
+and the averaged t, w and nu are recomputed sample by sample from the scalar
+functions.  Tolerances are relative (1e-12), taken against the largest entry
+of each compared array so that an entry that nearly cancels is not held to a
+tighter bound than its neighbours.
 """
 import itertools
 
@@ -53,8 +53,9 @@ def test_kernels_equal_per_sample_oracles(k, strategy, seed):
     for order in orders:
         prec = PrecoderSet(common, private, order)
         report = sampled_average_rates(strategy, samples, prec)
-        eq, wt = update_equalizers_weights(strategy, samples, prec)
-        coeffs = assemble_coefficients(strategy, samples, eq, wt, order)
+        g_all, w_all = update_equalizers_weights(strategy, samples, prec)
+        coeffs = assemble_coefficients(strategy, samples, g_all, w_all, order)
+        assert coeffs.phi.shape == (k, n_t, n_t)   # private streams only
         for user in range(k):
             draws = [(samples.realizations[i, :, user], samples.errors[i, :, user])
                      for i in range(m)]
@@ -64,19 +65,19 @@ def test_kernels_equal_per_sample_oracles(k, strategy, seed):
                  np.mean([instantaneous_private_rate(strategy, h, e, prec, user)
                           for h, e in draws])],
             )
-            for s_idx, stream, p in ((0, COMMON, common), (1, PRIVATE, private[:, user])):
+            for stream, p in ((COMMON, common), (PRIVATE, private[:, user])):
                 T = [effective_power_T(strategy, stream, user, h, e, prec) for h, e in draws]
-                g, w = eq.values[:, user, s_idx], wt.values[:, user, s_idx]
+                g, w = g_all[:, user, stream], w_all[:, user, stream]
                 assert_close(g, [mmse_equalizer(h, p, t) for (h, _), t in zip(draws, T)])
                 assert_close(w, [mmse_weight(h, p, t) for (h, _), t in zip(draws, T)])
                 t = w * np.abs(g) ** 2
-                sc = coeffs.stream(stream, user)
-                assert_close(sc.psi, sum(t[i] * np.outer(h, h.conj())
-                                         for i, (h, _) in enumerate(draws)) / m)
-                assert_close(sc.f, sum(w[i] * np.conj(g[i]) * h
-                                       for i, (h, _) in enumerate(draws)) / m)
-                if stream == COMMON:
-                    assert sc.phi is None
-                else:
-                    assert_close(sc.phi, sum(t[i] * np.outer(e, e.conj())
-                                             for i, (_, e) in enumerate(draws)) / m)
+                assert_close(coeffs.psi[stream, user], sum(t[i] * np.outer(h, h.conj())
+                                                           for i, (h, _) in enumerate(draws)) / m)
+                assert_close(coeffs.f[stream, user], sum(w[i] * np.conj(g[i]) * h
+                                                         for i, (h, _) in enumerate(draws)) / m)
+                assert_close(coeffs.t[stream, user], sum(t) / m)
+                assert_close(coeffs.w[stream, user], sum(w) / m)
+                assert_close(coeffs.nu[stream, user], sum(np.log(w)) / m)
+                if stream == PRIVATE:
+                    assert_close(coeffs.phi[user], sum(t[i] * np.outer(e, e.conj())
+                                                       for i, (_, e) in enumerate(draws)) / m)

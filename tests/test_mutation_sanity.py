@@ -22,6 +22,7 @@ from noumopt import (
     weighted_mse_bits,
     xi_hat,
 )
+from noumopt.wmmse import LN2
 
 
 def test_weight_sign_flip_breaks_identity():
@@ -56,23 +57,23 @@ def test_omitted_later_interference_breaks_xi_hat_equivalence():
         rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)),
         order,
     )
-    eq, wt = update_equalizers_weights(Strategy.DPCRS1, samples, prec)
-    coeffs = assemble_coefficients(Strategy.DPCRS1, samples, eq, wt, order)
+    g, w = update_equalizers_weights(Strategy.DPCRS1, samples, prec)
+    coeffs = assemble_coefficients(Strategy.DPCRS1, samples, g, w, order)
 
     user = order[0]  # first encoded: both later users interfere in full
-    sc = coeffs.private[user]
 
     def quad(mat, p):
         return float(np.real(np.vdot(p, mat @ p)))
 
-    omega_wrong = quad(sc.psi, prec.private[:, user])  # later terms dropped
+    omega_wrong = quad(coeffs.psi[PRIVATE, user], prec.private[:, user])  # later terms dropped
     xi_wrong = (
-        omega_wrong + sc.t - 2.0 * float(np.real(np.vdot(sc.f, prec.private[:, user])))
-        + sc.w - sc.nu_bits
+        omega_wrong + coeffs.t[PRIVATE, user]
+        - 2.0 * float(np.real(np.vdot(coeffs.f[PRIVATE, user], prec.private[:, user])))
+        + coeffs.w[PRIVATE, user] - coeffs.nu[PRIVATE, user] / LN2
     )
     direct = np.mean([
         weighted_mse_bits(
-            eq.values[m, user, 1], wt.values[m, user, 1],
+            g[m, user, PRIVATE], w[m, user, PRIVATE],
             effective_power_T(Strategy.DPCRS1, PRIVATE, user,
                               samples.realizations[m, :, user],
                               samples.errors[m, :, user], prec),

@@ -15,7 +15,6 @@ from noumopt import (
     instantaneous_common_rate,
     instantaneous_private_rate,
     sampled_average_rates,
-    total_unicast_rates,
     wasr,
 )
 from noumopt.channel import ChannelEstimate
@@ -201,22 +200,6 @@ class TestBoundAllocAndWasr:
         rep_one = RateReport(np.array([0.8]), np.zeros(1))
         assert rep_one.common_bound == 0.8
         assert rep.common_bound <= np.min(rep.common_per_user)
-
-    def test_totals(self):
-        rep = RateReport(np.array([2.0, 2.0]), np.array([2.0, 3.0]))
-        alloc = CommonRateAlloc(np.array([0.5, 0.5, 0.5]))
-        totals = total_unicast_rates(rep, alloc)
-        assert totals == pytest.approx([2.5, 3.5])
-
-    def test_degenerate_alloc_gives_private(self):
-        rep = RateReport(np.array([1.0, 1.0]), np.array([2.0, 3.0]))
-        totals = total_unicast_rates(rep, CommonRateAlloc.zeros(2))
-        assert totals == pytest.approx([2.0, 3.0])
-
-    def test_alloc_exceeding_bound_rejected(self):
-        rep = RateReport(np.array([1.0, 1.0]), np.array([2.0, 3.0]))
-        with pytest.raises(ValueError):
-            total_unicast_rates(rep, CommonRateAlloc(np.array([0.5, 0.5, 0.5])))
 
     def test_negative_alloc_rejected(self):
         with pytest.raises(ValueError):

@@ -41,8 +41,8 @@ def make_instance(seed=0, k=2, n_t=2, m=8, strategy=Strategy.DPCRS1, snr_db=20.0
     )
     scale = np.sqrt(0.8 * cfg.transmit_power / prec.total_power())
     prec = PrecoderSet(prec.common * scale, prec.private * scale, order)
-    eq, wt = update_equalizers_weights(strategy, samples, prec)
-    coeffs = assemble_coefficients(strategy, samples, eq, wt, order)
+    g, w = update_equalizers_weights(strategy, samples, prec)
+    coeffs = assemble_coefficients(strategy, samples, g, w, order)
     return cfg, samples, prec, coeffs, order
 
 
@@ -109,11 +109,10 @@ class TestBuildStructure:
 
     def test_rejects_non_psd(self):
         cfg, samples, prec, coeffs, order = make_instance()
-        min_eig = float(np.min(np.linalg.eigvalsh(coeffs.private[0].psi)))
-        bad_stream = dataclasses.replace(
-            coeffs.private[0], psi=coeffs.private[0].psi - (min_eig + 1e-6) * np.eye(2)
-        )
-        bad = dataclasses.replace(coeffs, private=(bad_stream, coeffs.private[1]))
+        min_eig = float(np.min(np.linalg.eigvalsh(coeffs.psi[PRIVATE, 0])))
+        psi = coeffs.psi.copy()
+        psi[PRIVATE, 0] -= (min_eig + 1e-6) * np.eye(2)
+        bad = dataclasses.replace(coeffs, psi=psi)
         with pytest.raises(ValueError, match="PSD"):
             build_subproblem(
                 bad, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power, Strategy.DPCRS1, order
@@ -358,12 +357,10 @@ class TestScalarGridOracle:
         # Hand-derived reduced objective from the raw per-stream scalars
         # (N_t = 1): optimal phases align each precoder with its linear
         # coefficient, X_0 = 0, and X_1 sits on the common-decodability bound.
-        sc_c, sc_p = coeffs.common[0], coeffs.private[0]
-        psi_c = float(np.real(sc_c.psi[0, 0]))
-        psi_p = float(np.real(sc_p.psi[0, 0]))
-        fc, fp = abs(sc_c.f[0]), abs(sc_p.f[0])
-        const_c = sc_c.t + sc_c.w - sc_c.nu_nats
-        const_p = sc_p.t + sc_p.w - sc_p.nu_nats
+        psi_c = float(np.real(coeffs.psi[COMMON, 0, 0, 0]))
+        psi_p = float(np.real(coeffs.psi[PRIVATE, 0, 0, 0]))
+        fc, fp = abs(coeffs.f[COMMON, 0, 0]), abs(coeffs.f[PRIVATE, 0, 0])
+        const_c, const_p = coeffs.t[:, 0] + coeffs.w[:, 0] - coeffs.nu[:, 0]
         p_t = cfg.transmit_power
 
         def reduced_objective(rc, rp):

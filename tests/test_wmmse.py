@@ -5,12 +5,10 @@ from scipy.optimize import minimize_scalar
 from noumopt import (
     COMMON,
     PRIVATE,
-    EqualizerSet,
     PrecoderSet,
     SampleSet,
     Strategy,
     SystemConfig,
-    WeightSet,
     assemble_coefficients,
     draw_estimate,
     draw_sample_set,
@@ -27,6 +25,7 @@ from noumopt import (
     xi_hat_nats,
 )
 from noumopt.channel import ChannelEstimate
+from noumopt.wmmse import LN2
 
 
 def cvec(*entries):
@@ -220,16 +219,15 @@ class TestAssemble:
         realizations = np.zeros((1, 2, 1), complex)
         realizations[0, :, 0] = [1.0, 0.0]
         s = manual_sample_set(realizations, np.zeros((1, 2, 1), complex))
-        eq = EqualizerSet(np.full((1, 1, 2), 0.5 + 0j))
-        wt = WeightSet(np.full((1, 1, 2), 2.0))
-        coeffs = assemble_coefficients(Strategy.RS1, s, eq, wt, None)
-        sc = coeffs.private[0]
-        assert sc.t == pytest.approx(0.5)
-        assert np.allclose(sc.psi, 0.5 * np.outer([1, 0], [1, 0]))
-        assert sc.nu_bits == pytest.approx(1.0)
-        assert np.allclose(sc.f, [1.0, 0.0])
-        assert sc.w == pytest.approx(2.0)
-        assert sc.nu_nats == pytest.approx(np.log(2.0))
+        g = np.full((1, 1, 2), 0.5 + 0j)
+        w = np.full((1, 1, 2), 2.0)
+        coeffs = assemble_coefficients(Strategy.RS1, s, g, w, None)
+        assert coeffs.t[PRIVATE, 0] == pytest.approx(0.5)
+        assert np.allclose(coeffs.psi[PRIVATE, 0], 0.5 * np.outer([1, 0], [1, 0]))
+        assert coeffs.nu[PRIVATE, 0] / LN2 == pytest.approx(1.0)
+        assert np.allclose(coeffs.f[PRIVATE, 0], [1.0, 0.0])
+        assert coeffs.w[PRIVATE, 0] == pytest.approx(2.0)
+        assert coeffs.nu[PRIVATE, 0] == pytest.approx(np.log(2.0))
 
     def test_duplicated_samples_equal_single(self):
         rng = np.random.default_rng(77)
@@ -245,14 +243,14 @@ class TestAssemble:
             (1, 0),
         )
         for s_set in (s1, dup):
-            eq, wt = update_equalizers_weights(Strategy.DPCRS1, s_set, prec)
-            coeffs = assemble_coefficients(Strategy.DPCRS1, s_set, eq, wt, (1, 0))
+            g, w = update_equalizers_weights(Strategy.DPCRS1, s_set, prec)
+            coeffs = assemble_coefficients(Strategy.DPCRS1, s_set, g, w, (1, 0))
             if s_set is s1:
                 ref = coeffs
         for k in range(2):
-            assert np.allclose(ref.private[k].psi, coeffs.private[k].psi, atol=1e-12)
-            assert np.allclose(ref.common[k].f, coeffs.common[k].f, atol=1e-12)
-            assert ref.private[k].t == pytest.approx(coeffs.private[k].t, abs=1e-12)
+            assert np.allclose(ref.psi[PRIVATE, k], coeffs.psi[PRIVATE, k], atol=1e-12)
+            assert np.allclose(ref.f[COMMON, k], coeffs.f[COMMON, k], atol=1e-12)
+            assert ref.t[PRIVATE, k] == pytest.approx(coeffs.t[PRIVATE, k], abs=1e-12)
 
     def test_psi_phi_psd(self):
         rng = np.random.default_rng(13)
@@ -264,19 +262,17 @@ class TestAssemble:
             rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)),
             (0, 1),
         )
-        eq, wt = update_equalizers_weights(Strategy.DPCRS1, s, prec)
-        coeffs = assemble_coefficients(Strategy.DPCRS1, s, eq, wt, (0, 1))
-        for sc in coeffs.common + coeffs.private:
-            assert np.min(np.linalg.eigvalsh(sc.psi)) >= -1e-12
-            if sc.phi is not None:
-                assert np.min(np.linalg.eigvalsh(sc.phi)) >= -1e-12
-        for sc in coeffs.common + coeffs.private:
-            assert sc.w >= 1.0
-            assert sc.nu_bits >= 0.0
+        g, w = update_equalizers_weights(Strategy.DPCRS1, s, prec)
+        coeffs = assemble_coefficients(Strategy.DPCRS1, s, g, w, (0, 1))
+        for psi in coeffs.psi.reshape(-1, 3, 3):
+            assert np.min(np.linalg.eigvalsh(psi)) >= -1e-12
+        for phi in coeffs.phi:
+            assert np.min(np.linalg.eigvalsh(phi)) >= -1e-12
+        assert np.all(coeffs.w >= 1.0)
+        assert np.all(coeffs.nu / LN2 >= 0.0)
 
 
-def direct_wmse_average(strategy, samples, prec, eq, wt, stream, user):
-    s_idx = 0 if stream == COMMON else 1
+def direct_wmse_average(strategy, samples, prec, g, w, stream, user):
     p = prec.common if stream == COMMON else prec.private[:, user]
     vals = []
     for m in range(samples.sample_count):
@@ -284,7 +280,7 @@ def direct_wmse_average(strategy, samples, prec, eq, wt, stream, user):
         e = samples.errors[m, :, user]
         T = effective_power_T(strategy, stream, user, h, e, prec)
         vals.append(
-            weighted_mse_bits(eq.values[m, user, s_idx], wt.values[m, user, s_idx], T, h, p)
+            weighted_mse_bits(g[m, user, stream], w[m, user, stream], T, h, p)
         )
     return float(np.mean(vals))
 
@@ -301,13 +297,13 @@ class TestXiHat:
             rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
             order,
         )
-        eq, wt = update_equalizers_weights(strategy, s, prec)
-        coeffs = assemble_coefficients(strategy, s, eq, wt, order)
-        return s, prec, eq, wt, coeffs
+        g, w = update_equalizers_weights(strategy, s, prec)
+        coeffs = assemble_coefficients(strategy, s, g, w, order)
+        return s, prec, g, w, coeffs
 
     def test_matches_direct_average(self):
         for seed, strategy in [(1, Strategy.DPCRS1), (2, Strategy.RS1), (3, Strategy.DPC), (4, Strategy.MULP)]:
-            s, prec, eq, wt, coeffs = self._instance(seed, strategy)
+            s, prec, g, w, coeffs = self._instance(seed, strategy)
             # Evaluate at a different precoder than the assembly point too.
             rng = np.random.default_rng(seed + 100)
             other = PrecoderSet(
@@ -318,11 +314,11 @@ class TestXiHat:
             for target in (prec, other):
                 for user in range(2):
                     for stream in (COMMON, PRIVATE):
-                        direct = direct_wmse_average(strategy, s, target, eq, wt, stream, user)
+                        direct = direct_wmse_average(strategy, s, target, g, w, stream, user)
                         assert abs(xi_hat(coeffs, target, stream, user) - direct) <= 1e-10
 
     def test_equals_one_minus_sampled_ar_at_update_point(self):
-        s, prec, eq, wt, coeffs = self._instance(9)
+        s, prec, g, w, coeffs = self._instance(9)
         rep = sampled_average_rates(Strategy.DPCRS1, s, prec)
         for user in range(2):
             assert xi_hat(coeffs, prec, COMMON, user) == pytest.approx(
@@ -333,23 +329,23 @@ class TestXiHat:
             )
 
     def test_zero_precoders_reduce_to_constants(self):
-        s, prec, eq, wt, coeffs = self._instance(10)
+        s, prec, g, w, coeffs = self._instance(10)
         zeros = PrecoderSet(np.zeros(2, complex), np.zeros((2, 2), complex), (0, 1))
         for user in range(2):
-            sc = coeffs.private[user]
+            t, w, nu = coeffs.t[PRIVATE, user], coeffs.w[PRIVATE, user], coeffs.nu[PRIVATE, user]
             assert xi_hat(coeffs, zeros, PRIVATE, user) == pytest.approx(
-                sc.t + sc.w - sc.nu_bits, abs=1e-12
+                t + w - nu / LN2, abs=1e-12
             )
 
     def test_nats_flavour_differs_only_by_nu(self):
-        s, prec, eq, wt, coeffs = self._instance(11)
+        s, prec, g, w, coeffs = self._instance(11)
         for user in range(2):
-            sc = coeffs.common[user]
+            nu = coeffs.nu[COMMON, user]
             delta = xi_hat_nats(coeffs, prec, COMMON, user) - xi_hat(coeffs, prec, COMMON, user)
-            assert delta == pytest.approx(sc.nu_bits - sc.nu_nats, abs=1e-12)
+            assert delta == pytest.approx(nu / LN2 - nu, abs=1e-12)
 
     def test_midpoint_convexity_in_precoders(self):
-        s, prec, eq, wt, coeffs = self._instance(12)
+        s, prec, g, w, coeffs = self._instance(12)
         rng = np.random.default_rng(55)
         for _ in range(40):
             a = PrecoderSet(
