@@ -14,11 +14,21 @@ as a fallback for the rare case the primal-dual line search stalls.
 Strictly feasible starting points come from a phase-1 problem (minimize the
 worst constraint violation).
 
+Both loops evaluate each stack once per line-search trial point
+(``Quadratics.evaluate``: values and Jacobian from one product A @ z) and
+carry the accepted trial's values, Jacobian and residuals into the next
+Newton step, so no point is evaluated twice.  A result's ``iterations``
+counts Newton steps as each solver's docstring defines them; for the
+primal-dual, a failed line search and the final check of the returned point
+are not steps.
+
 Everything is deterministic: no randomness, fixed iteration order.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -35,7 +45,8 @@ class Quadratics:
     """Stacked quadratics f_i(z) = z' A_i z + b_i' z + c_i, one row per function.
 
     A: (m, n, n) symmetric (PSD for convexity; zero for affine rows),
-    b: (m, n), c: (m,).
+    b: (m, n), c: (m,).  ``evaluate`` is the one row formula; the solvers
+    call it once per trial point, and ``values`` reads it.
     """
 
     A: np.ndarray
@@ -45,11 +56,13 @@ class Quadratics:
     def __len__(self) -> int:
         return self.c.shape[0]
 
-    def values(self, z: np.ndarray) -> np.ndarray:
-        return self.b @ z + self.c + (self.A @ z) @ z
+    def evaluate(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(values (m,), Jacobian (m, n)) at z, from one product A @ z."""
+        az = self.A @ z
+        return self.b @ z + self.c + az @ z, self.b + 2.0 * az
 
-    def jacobian(self, z: np.ndarray) -> np.ndarray:
-        return self.b + 2.0 * (self.A @ z)
+    def values(self, z: np.ndarray) -> np.ndarray:
+        return self.evaluate(z)[0]
 
     def hessians(self) -> np.ndarray:
         return 2.0 * self.A
@@ -60,8 +73,9 @@ class IpmResult:
     z: np.ndarray
     lam: np.ndarray
     status: str                  # optimal | stalled | max_iter | early (phase-1 only)
-    iterations: int
+    iterations: int              # Newton steps taken
     gap: float
+    kkt: tuple[float, float, float]   # _kkt_parts at the returned (z, lam)
     gap_trace: list[float] = field(default_factory=list)
 
 
@@ -70,24 +84,34 @@ def _kkt_parts(
 ) -> tuple[float, float, float]:
     """(stationarity, primal violation, complementarity) from the dual
     residual grad f0 + J' lam and the constraint values at one point."""
-    stationarity = float(np.linalg.norm(r_dual, np.inf))
-    return stationarity, float(max(0.0, np.max(fvals))), float(np.max(np.abs(lam * fvals)))
+    stationarity = float(np.abs(r_dual).max())
+    return stationarity, float(max(0.0, fvals.max())), float(np.abs(lam * fvals).max())
 
 
 def kkt_parts(
     objective: Quadratics, constraints: Quadratics, z: np.ndarray, lam: np.ndarray
 ) -> tuple[float, float, float]:
     """The KKT parts at (z, lam); the primal-dual stops when all are <= tol."""
-    r_dual = objective.jacobian(z)[0] + constraints.jacobian(z).T @ lam
-    return _kkt_parts(r_dual, constraints.values(z), lam)
+    fvals, J = constraints.evaluate(z)
+    return _kkt_parts(objective.evaluate(z)[1][0] + J.T @ lam, fvals, lam)
+
+
+@lru_cache(maxsize=None)
+def _ridge(n: int) -> np.ndarray:
+    ridge = _RIDGE * np.eye(n)
+    ridge.setflags(write=False)
+    return ridge
 
 
 def _newton_matrix(
     h0: np.ndarray, J: np.ndarray, d: np.ndarray, curvature: np.ndarray, hessians: np.ndarray
 ) -> np.ndarray:
     """h0 + J' diag(d) J + sum_i curvature_i H_i + ridge I."""
-    H = h0 + J.T @ (d[:, None] * J) + np.tensordot(curvature, hessians, axes=1)
-    return H + _RIDGE * np.eye(H.shape[0])
+    m, n = J.shape
+    # The (1, m) x (m, n*n) product that np.tensordot(curvature, hessians, 1)
+    # forms, without its wrapper.
+    curved = np.dot(curvature[None], hessians.reshape(m, n * n)).reshape(n, n)
+    return h0 + J.T @ (d[:, None] * J) + curved + _ridge(n)
 
 
 def _solve_sym(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -95,6 +119,12 @@ def _solve_sym(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(H, rhs)
     except np.linalg.LinAlgError:
         return np.linalg.lstsq(H, rhs, rcond=None)[0]
+
+
+def _norm(r_dual: np.ndarray, r_cent: np.ndarray) -> float:
+    """Euclidean norm of the stacked residual (what np.linalg.norm computes)."""
+    r = np.concatenate([r_dual, r_cent])
+    return math.sqrt(r @ r)
 
 
 def solve_primal_dual(
@@ -108,29 +138,30 @@ def solve_primal_dual(
 
     The status is ``optimal`` exactly when every part of ``kkt_parts`` at the
     returned (z, lam) is <= tol; otherwise ``stalled`` (the line search found
-    no step) or ``max_iter`` (max_iter Newton steps taken).
+    no step) or ``max_iter`` (max_iter Newton steps taken).  ``iterations``
+    is the number of Newton steps taken, ``len(gap_trace) - 1``.
     """
     m = len(constraints)
     z = np.asarray(z0, dtype=float).copy()
-    fvals = constraints.values(z)
-    if np.any(fvals >= 0):
+    fvals, J = constraints.evaluate(z)
+    if fvals.max() >= 0:
         raise ValueError("primal-dual solver requires a strictly feasible start")
     lam = np.minimum(1.0 / np.maximum(-fvals, 1e-10), 1e10)
+    r_dual = objective.evaluate(z)[1][0] + J.T @ lam
 
     hessians = constraints.hessians()
     h0 = objective.hessians()[0]
     gap_trace: list[float] = []
     status = "max_iter"
     # Pass max_iter + 1 only checks the point that the last step reached.
-    for it in range(1, max_iter + 2):
-        J = constraints.jacobian(z)
+    for it in range(max_iter + 1):
         eta = float(-fvals @ lam)
         gap_trace.append(eta)
-        r_dual = objective.jacobian(z)[0] + J.T @ lam
-        if max(_kkt_parts(r_dual, fvals, lam)) <= tol:
+        parts = _kkt_parts(r_dual, fvals, lam)
+        if max(parts) <= tol:
             status = "optimal"
             break
-        if it > max_iter:
+        if it == max_iter:
             break
         t_hat = _PD_MU * m / max(eta, 1e-300)
         r_cent = -lam * fvals - 1.0 / t_hat
@@ -144,28 +175,26 @@ def solve_primal_dual(
         # and residual decrease.
         s = 1.0
         neg = dlam < 0
-        if np.any(neg):
-            s = min(1.0, 0.99 * float(np.min(-lam[neg] / dlam[neg])))
-        r_norm = np.linalg.norm(np.concatenate([r_dual, r_cent]))
-        accepted = False
+        if neg.any():
+            s = min(1.0, 0.99 * float((-lam[neg] / dlam[neg]).min()))
+        r_norm = _norm(r_dual, r_cent)
         for _ in range(60):
             z_new = z + s * dz
-            f_new = constraints.values(z_new)
-            if np.all(f_new < 0):
+            f_new, J_new = constraints.evaluate(z_new)
+            if f_new.max() < 0:
                 lam_new = lam + s * dlam
-                rd = objective.jacobian(z_new)[0] + constraints.jacobian(z_new).T @ lam_new
+                rd = objective.evaluate(z_new)[1][0] + J_new.T @ lam_new
                 rc = -lam_new * f_new - 1.0 / t_hat
-                if np.linalg.norm(np.concatenate([rd, rc])) <= (1.0 - 0.01 * s) * r_norm:
-                    accepted = True
+                if _norm(rd, rc) <= (1.0 - 0.01 * s) * r_norm:
                     break
             s *= 0.5
-        if not accepted:
+        else:
             status = "stalled"
             break
-        z, lam, fvals = z_new, lam_new, f_new
+        z, lam, fvals, J, r_dual = z_new, lam_new, f_new, J_new, rd
 
-    return IpmResult(z=z, lam=lam, status=status, iterations=min(it, max_iter), gap=eta,
-                     gap_trace=gap_trace)
+    return IpmResult(z=z, lam=lam, status=status, iterations=len(gap_trace) - 1, gap=eta,
+                     kkt=parts, gap_trace=gap_trace)
 
 
 def solve_barrier(
@@ -187,49 +216,56 @@ def solve_barrier(
     decrement test and m / t <= tol; ``stalled`` when m / t <= tol but some
     centering broke off (line search failed, or its step cap was used), so
     the multipliers 1 / (t * -f) need not be dual feasible; ``max_iter`` when
-    max_iter Newton steps ran out first.
+    max_iter Newton steps ran out first.  ``iterations`` counts the Newton
+    systems solved, the one whose decrement ends a centering included.
     """
     m = len(constraints)
     z = np.asarray(z0, dtype=float).copy()
-    if np.any(constraints.values(z) >= 0):
+    fvals, J = constraints.evaluate(z)
+    if fvals.max() >= 0:
         raise ValueError("barrier solver requires a strictly feasible start")
+    f0, g0 = objective.evaluate(z)
+    log_sum = float(np.sum(np.log(-fvals)))
     hessians = constraints.hessians()
     h0 = objective.hessians()[0]
     t = 1.0
     gap_trace: list[float] = []
     total_newton = 0
     centered = True
+
+    def result(status: str) -> IpmResult:
+        lam = 1.0 / (t * np.maximum(-fvals, 1e-300))
+        return IpmResult(z=z, lam=lam, status=status, iterations=total_newton,
+                         gap=float(-fvals @ lam), kkt=_kkt_parts(g0[0] + J.T @ lam, fvals, lam),
+                         gap_trace=gap_trace)
+
     while m / t > tol and total_newton < max_iter:
         for _ in range(80):
             if early_stop is not None and early_stop(z):
-                fvals = constraints.values(z)
-                lam = 1.0 / (t * np.maximum(-fvals, 1e-300))
-                return IpmResult(z=z, lam=lam, status="early", iterations=total_newton,
-                                 gap=float(-fvals @ lam), gap_trace=gap_trace)
+                return result("early")
             total_newton += 1
-            fvals = constraints.values(z)
-            J = constraints.jacobian(z)
             inv = 1.0 / (-fvals)
-            grad = t * objective.jacobian(z)[0] + J.T @ inv
+            grad = t * g0[0] + J.T @ inv
             H = _newton_matrix(t * h0, J, inv**2, inv, hessians)
             dz = _solve_sym(H, -grad)
             decrement = float(-grad @ dz)
             if decrement / 2.0 <= 1e-12:
                 break   # centered
             s = 1.0
-            v0 = t * objective.values(z)[0] - float(np.sum(np.log(-fvals)))
+            v0 = t * f0[0] - log_sum
             for _ in range(60):
                 z_new = z + s * dz
-                f_new = constraints.values(z_new)
-                if np.all(f_new < 0):
-                    v_new = t * objective.values(z_new)[0] - float(np.sum(np.log(-f_new)))
-                    if v_new <= v0 + 0.25 * s * float(grad @ dz):
+                f_new, J_new = constraints.evaluate(z_new)
+                if f_new.max() < 0:
+                    f0_new, g0_new = objective.evaluate(z_new)
+                    log_new = float(np.sum(np.log(-f_new)))
+                    if t * f0_new[0] - log_new <= v0 + 0.25 * s * float(grad @ dz):
                         break
                 s *= 0.5
             else:
                 centered = False
                 break
-            z = z_new
+            z, fvals, J, f0, g0, log_sum = z_new, f_new, J_new, f0_new, g0_new, log_new
             if total_newton >= max_iter:
                 centered = False
                 break
@@ -238,13 +274,8 @@ def solve_barrier(
         gap_trace.append(m / t)
         t *= _BARRIER_MU
     if m / t > tol:
-        status = "max_iter"
-    else:
-        status = "optimal" if centered else "stalled"
-    fvals = constraints.values(z)
-    lam = 1.0 / (t * np.maximum(-fvals, 1e-300))
-    return IpmResult(z=z, lam=lam, status=status, iterations=total_newton,
-                     gap=float(-fvals @ lam), gap_trace=gap_trace)
+        return result("max_iter")
+    return result("optimal" if centered else "stalled")
 
 
 def find_strictly_feasible(
@@ -262,7 +293,7 @@ def find_strictly_feasible(
     certificate-style diagnostic for QoS infeasibility).
     """
     fvals = constraints.values(z0)
-    if np.all(fvals < -margin):
+    if fvals.max() < -margin:
         return z0.copy(), float(np.max(fvals))
     m, n = len(constraints), z0.shape[0]
     # One zero row/column for s, plus the bounding row -s - 1 <= 0.
@@ -277,7 +308,7 @@ def find_strictly_feasible(
     z_ext = np.append(z0, float(np.max(fvals)) + 1.0)
 
     def strictly_ok(z_cur: np.ndarray) -> bool:
-        return bool(np.all(constraints.values(z_cur[:n]) < -margin))
+        return bool(constraints.values(z_cur[:n]).max() < -margin)
 
     res = solve_barrier(
         objective, extended, z_ext, tol=tol, max_iter=max_iter, early_stop=strictly_ok

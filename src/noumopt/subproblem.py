@@ -295,7 +295,7 @@ def solve(
     or runs out of iterations, and keeps the result with the smaller gap.
     """
     z0 = _interior_candidate(spec, initial)
-    if np.any(spec.constraints.values(z0) >= -1e-12):
+    if spec.constraints.values(z0).max() >= -1e-12:
         z0, worst = find_strictly_feasible(spec.constraints, z0, margin=1e-12, tol=tol)
         if z0 is None:
             return SubproblemSolution(
@@ -312,7 +312,7 @@ def solve(
             res = fallback
 
     z, lam = res.z, res.lam
-    stationarity, primal, complementarity = kkt_parts(spec.objective, spec.constraints, z, lam)
+    stationarity, primal, complementarity = res.kkt
     precoders, xhat = spec.unpack(z)
 
     chat_bits = np.zeros(spec.num_users + 1)

@@ -33,6 +33,31 @@ def box_qp():
     return objective, stack(*rows)
 
 
+class Counting(Quadratics):
+    """A copy of a stack that records every point it is evaluated at, and
+    every separate ``values`` read."""
+
+    def __init__(self, q):
+        super().__init__(q.A, q.b, q.c)
+        object.__setattr__(self, "points", [])
+        object.__setattr__(self, "value_reads", [])
+
+    def evaluate(self, z):
+        self.points.append(np.array(z))
+        return super().evaluate(z)
+
+    def values(self, z):
+        self.value_reads.append(np.array(z))
+        return super().values(z)
+
+
+def ball_problem():
+    # min ||z - c||^2 s.t. ||z||^2 <= 1 with ||c|| = 2.5.
+    c = np.array([1.0, -2.0, 0.5, 1.0])
+    c *= 2.5 / np.linalg.norm(c)
+    return stack((np.eye(4), -2 * c, float(c @ c))), stack((np.eye(4), np.zeros(4), -1.0))
+
+
 class TestQuadratics:
     def test_rows_equal_per_row_formulas(self):
         # Every row's value and gradient equal the row on its own, affine
@@ -53,13 +78,15 @@ class TestQuadratics:
             az = np.abs(z)
             value_scale = np.abs(b) @ az + np.abs(c) + (np.abs(A) @ az) @ az
             gradient_scale = np.abs(b) + 2.0 * (np.abs(A) @ az)
+            got_values, got_jacobian = q.evaluate(z)
             assert len(q) == m
-            assert np.allclose(q.values(z), values, rtol=1e-12, atol=1e-12 * value_scale)
-            assert np.allclose(q.jacobian(z), gradients, rtol=1e-12, atol=1e-12 * gradient_scale)
+            assert np.allclose(got_values, values, rtol=1e-12, atol=1e-12 * value_scale)
+            assert np.allclose(got_jacobian, gradients, rtol=1e-12, atol=1e-12 * gradient_scale)
+            assert np.array_equal(q.values(z), got_values)
             assert np.array_equal(q.hessians(), 2.0 * A)
             affine = np.flatnonzero(~A.any(axis=(1, 2)))
             affine_values = [float(b[i] @ z) + c[i] for i in affine]
-            assert np.allclose(q.values(z)[affine], affine_values, rtol=1e-12,
+            assert np.allclose(got_values[affine], affine_values, rtol=1e-12,
                                atol=1e-12 * value_scale[affine])
 
     def test_newton_matrix_equals_row_loop(self):
@@ -120,6 +147,19 @@ class TestPrimalDual:
             assert (res.status == "optimal") == within
         assert statuses == {"optimal", "max_iter"}
 
+    def test_iterations_count_newton_steps(self):
+        # min (z - 0.5)^2 s.t. -1 <= z <= 1 from z0 = 0 takes 9 steps to the
+        # optimum: the same run at every cap from 9 up reports 9 steps.
+        objective = stack((np.eye(1), [-1.0], 0.25))
+        constraints = stack((None, [1.0], -1.0), (None, [-1.0], -1.0))
+        runs = [solve_primal_dual(objective, constraints, np.zeros(1), max_iter=cap)
+                for cap in (9, 10, 11, 200)]
+        for res in runs:
+            assert res.status == "optimal"
+            assert np.array_equal(res.z, runs[0].z)
+            assert res.gap_trace == runs[0].gap_trace
+            assert res.iterations == len(res.gap_trace) - 1 == 9
+
     def test_ball_constrained_least_squares(self):
         # min ||z - c||^2 s.t. ||z||^2 <= 1 with ||c|| > 1 -> z* = c/||c||.
         rng = np.random.default_rng(0)
@@ -151,9 +191,9 @@ class TestBarrier:
         # min z s.t. z^2 - 1 <= 0 (optimum -1), with values that read infeasible
         # everywhere but the start, so every centering line search fails.
         class OnlyStartFeasible(Quadratics):
-            def values(self, z):
-                exact = super().values(z)
-                return exact if np.all(z == 0.0) else np.ones_like(exact)
+            def evaluate(self, z):
+                exact, jacobian = super().evaluate(z)
+                return (exact if np.all(z == 0.0) else np.ones_like(exact)), jacobian
 
         objective = stack((None, [1.0], 0.0))
         constraints = OnlyStartFeasible(np.ones((1, 1, 1)), np.zeros((1, 1)), np.array([-1.0]))
@@ -163,6 +203,28 @@ class TestBarrier:
         assert res.status == "stalled"
         pd = solve_primal_dual(objective, constraints, np.zeros(1), tol=1e-9)
         assert pd.status == "stalled"
+
+
+class TestWorkPerStep:
+    # Each stack is evaluated once per trial point and never re-read: the
+    # constraints at the start and at every line-search trial, the objective
+    # at the start and at every strictly feasible trial.
+    @pytest.mark.parametrize("problem", [box_qp, ball_problem])
+    @pytest.mark.parametrize("solver", [solve_primal_dual, solve_barrier])
+    def test_one_evaluation_per_trial_point(self, problem, solver):
+        plain_objective, plain_constraints = problem()
+        objective, constraints = Counting(plain_objective), Counting(plain_constraints)
+        z0 = np.zeros(constraints.b.shape[1])
+        res = solver(objective, constraints, z0, tol=1e-10)
+        assert res.status == "optimal"
+        assert objective.value_reads == [] and constraints.value_reads == []
+        trials = constraints.points
+        assert np.array_equal(trials[0], z0)
+        assert len(trials) >= 1 + res.iterations
+        assert len({p.tobytes() for p in trials}) == len(trials)
+        feasible = [p for p in trials if np.all(plain_constraints.values(p) < 0)]
+        assert len(objective.points) == len(feasible)
+        assert all(np.array_equal(p, q) for p, q in zip(objective.points, feasible))
 
 
 class TestPhase1:
