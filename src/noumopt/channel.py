@@ -86,15 +86,16 @@ class SampleSet:
 
     realizations[m] = estimate + errors[m], entry-wise and exactly.
     ``realizations_h`` and ``errors_h`` hold the same draws conjugated, in a
-    read-only C-contiguous (M, K, N_t) layout: row [m, k] is h_k^H of sample
-    m, the left operand of every inner product h_k^H p.
+    read-only C-contiguous (K, N_t, M) layout, sample axis last: entry
+    [k, n, m] is conj(realizations[m, n, k]), so ``p @ realizations_h[k]``
+    gives h_k^H p of every sample as one contiguous row.
     """
 
     estimate: ChannelEstimate
     errors: np.ndarray        # (M, N_t, K)
     realizations: np.ndarray  # (M, N_t, K)
-    errors_h: np.ndarray = field(init=False, repr=False)        # (M, K, N_t)
-    realizations_h: np.ndarray = field(init=False, repr=False)  # (M, K, N_t)
+    errors_h: np.ndarray = field(init=False, repr=False)        # (K, N_t, M)
+    realizations_h: np.ndarray = field(init=False, repr=False)  # (K, N_t, M)
 
     def __post_init__(self):
         if self.errors.shape != self.realizations.shape:
@@ -104,7 +105,7 @@ class SampleSet:
         if self.errors.shape[1:] != self.estimate.matrix.shape:
             raise ValueError("sample shape must match the estimate")
         for name in ("errors", "realizations"):
-            conjugated = np.conj(getattr(self, name).transpose(0, 2, 1), order="C")
+            conjugated = np.conj(getattr(self, name).transpose(2, 1, 0), order="C")
             conjugated.flags.writeable = False
             object.__setattr__(self, name + "_h", conjugated)
 

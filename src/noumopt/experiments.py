@@ -625,7 +625,7 @@ def check_xi_hat_equivalence(seed: int, count: int) -> float:
                 p_i = target.common if stream == COMMON else target.private[:, user]
                 direct = np.mean([
                     weighted_mse_bits(
-                        g[m, user, stream], w[m, user, stream],
+                        g[stream, user, m], w[stream, user, m],
                         effective_power_T(strategy, stream, user,
                                           samples.realizations[m, :, user],
                                           samples.errors[m, :, user], target),

@@ -123,20 +123,23 @@ class RateReport:
         return float(np.min(self.common_per_user))
 
 
-def _sample_products(rows_h: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """rows_h[m, k] @ columns for every (sample, user) as one 2-D product."""
-    m, k, n = rows_h.shape
-    return (rows_h.reshape(m * k, n) @ columns).reshape(m, k, -1)
-
-
 def _stream_products(samples: SampleSet, precoders: PrecoderSet) -> np.ndarray:
-    """h_k^H p_j per (sample, user, column) -> (M, K, K+1).
+    """h_k^H p_j per (user, column, sample) -> (K, K+1, M), sample axis last.
 
-    Column 0 is the common stream, column 1 + j user j's private stream.
-    Every sampled rate, T and weight reads these products; none forms its own.
+    Column 0 is the common stream, column 1 + j user j's private stream.  One
+    batched product on ``realizations_h``, so row [k, c] holds all M samples
+    contiguously.  Every sampled rate, T and weight reads these products; none
+    forms its own.
     """
     columns = np.column_stack([precoders.common, precoders.private])
-    return _sample_products(samples.realizations_h, columns)
+    return columns.T @ samples.realizations_h
+
+
+def _abs2(x: np.ndarray) -> np.ndarray:
+    """|x|^2 entry-wise, without the square root of ``np.abs``."""
+    out = np.square(x.real)
+    out += np.square(x.imag)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -161,29 +164,38 @@ def interference_masks(
     return channel, error
 
 
-def _private_denominators(
+def _masked_sums(gains: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """sum_j mask[k, j] gains[k, j, m] -> (K, M), one row-vector product per user."""
+    return (mask[:, None, :] @ gains)[:, 0]
+
+
+def _stream_powers(
     strategy: Strategy,
     samples: SampleSet,
     precoders: PrecoderSet,
-    g_true: np.ndarray,
-) -> np.ndarray:
-    """Interference-plus-noise per (sample, user) seen by each private stream.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Products, signal and interference-plus-noise of every stream per sample.
 
-    ``g_true`` holds the private gains |h_k^H p_j|^2, (M, K, K).  The masks add
-    the error-channel and true gains as ``(1 + error part) + channel part``.
+    Returns (products, signal, noise): the (K, K+1, M) ``_stream_products``,
+    and two (2, K, M) arrays indexed [stream, user, sample], stream 0 the
+    common one and 1 user k's private one.  ``signal`` is |h_k^H p|^2 of the
+    stream's own precoder and ``noise`` what else the stream meets: unit noise
+    and every private stream for the common one; for a private one, unit
+    noise and the private streams ``interference_masks`` lets through, added
+    as ``(1 + error-channel part) + channel part``.
     """
+    products = _stream_products(samples, precoders)
+    gains = _abs2(products)
+    g_true = gains[:, 1:]                                   # |h_k^H p_j|^2, (K, K, M)
     channel, error = interference_masks(strategy, precoders.order, precoders.num_users)
-    denom = 1.0
+    private = 1.0
     if error.any():
-        g_err = np.abs(_sample_products(samples.errors_h, precoders.private)) ** 2
-        denom = denom + _masked_sums(g_err, error)
-    return denom + _masked_sums(g_true, channel)
-
-
-def _masked_sums(gains: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """sum_j mask[k, j] gains[m, k, j] -> (M, K), one matrix-vector product per user;
-    C-ordered, since the last bits of the sample means depend on the layout."""
-    return np.ascontiguousarray((gains.transpose(1, 0, 2) @ mask[:, :, None])[..., 0].T)
+        g_err = _abs2(precoders.private.T @ samples.errors_h)
+        private = private + _masked_sums(g_err, error)
+    own = np.arange(precoders.num_users)
+    signal = np.stack([gains[:, 0], g_true[own, own]])
+    noise = np.stack([g_true.sum(axis=1) + 1.0, private + _masked_sums(g_true, channel)])
+    return products, signal, noise
 
 
 def instantaneous_common_rate(
@@ -232,13 +244,9 @@ def sampled_average_rates(
     precoders: PrecoderSet,
 ) -> RateReport:
     """Arithmetic mean of the instantaneous rates over the M channel samples."""
-    gains = np.abs(_stream_products(samples, precoders)) ** 2
-    g_true = gains[..., 1:]
-    common = np.log2(1.0 + gains[..., 0] / (np.sum(g_true, axis=-1) + 1.0))
-    own = np.arange(precoders.num_users)
-    denom = _private_denominators(strategy, samples, precoders, g_true)
-    private = np.log2(1.0 + g_true[..., own, own] / denom)
-    return RateReport(common.mean(axis=0), private.mean(axis=0))
+    _, signal, noise = _stream_powers(strategy, samples, precoders)
+    common, private = np.log2(1.0 + signal / noise).mean(axis=-1)
+    return RateReport(common, private)
 
 
 def wasr(weights: np.ndarray, totals: np.ndarray) -> float:

@@ -238,7 +238,7 @@ def _interior_candidate(
     power = precoders.total_power()
     limit = spec.power_budget * (1.0 - margin)
     if power > limit:
-        scale = np.sqrt(limit / power) if power > 0 else 0.0
+        scale = np.sqrt(limit / power)
         precoders = PrecoderSet(precoders.common * scale, precoders.private * scale, spec.order)
     if spec.num_slack == 0:
         return spec.pack(precoders, np.zeros(0))

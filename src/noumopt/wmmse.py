@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SampleSet
-from .strategies import PrecoderSet, Strategy, _private_denominators, _stream_products
+from .strategies import PrecoderSet, Strategy, _abs2, _stream_powers
 
 # Stream indices: the stream axis of every stacked WMSE array.
 COMMON = 0
@@ -115,42 +115,22 @@ def rate_wmmse_identity_check(
     return xi_star, rate
 
 
-def _sample_T(
-    strategy: Strategy,
-    samples: SampleSet,
-    precoders: PrecoderSet,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-sample T and signal inner products for all users and both streams.
-
-    Returns (T_common, T_private, hp_common, hp_private), each (M, K);
-    hp_* holds h^H p of the stream's own precoder.
-    """
-    hp = _stream_products(samples, precoders)
-    gains = np.abs(hp) ** 2
-    g_true = gains[..., 1:]
-    own = np.arange(precoders.num_users)
-    t_common = gains[..., 0] + np.sum(g_true, axis=-1) + 1.0
-    denom = _private_denominators(strategy, samples, precoders, g_true)
-    t_private = denom + g_true[..., own, own]
-    return t_common, t_private, hp[..., 0], hp[..., own, own + 1]
-
-
 def update_equalizers_weights(
     strategy: Strategy,
     samples: SampleSet,
     precoders: PrecoderSet,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form g and w at the given precoders, each (M, K, 2): sample, user, stream.
+    """Closed-form g and w at the given precoders, each (2, K, M): stream, user, sample.
 
-    The stream axis is last and indexed by ``COMMON``/``PRIVATE``; every weight is >= 1.
+    Both are C-contiguous with the stream axis first, indexed by ``COMMON``/
+    ``PRIVATE`` as in ``QuadCoefficients``, and the sample axis last, as in the
+    ``SampleSet``'s conjugated draws; every weight is >= 1.
     """
-    t_c, t_p, hp_c, hp_p = _sample_T(strategy, samples, precoders)
-    g = np.stack([hp_c.conj() / t_c, hp_p.conj() / t_p], axis=-1)
-    w = np.stack(
-        [t_c / (t_c - np.abs(hp_c) ** 2), t_p / (t_p - np.abs(hp_p) ** 2)],
-        axis=-1,
-    )
-    return g, w
+    products, signal, noise = _stream_powers(strategy, samples, precoders)
+    own = np.arange(precoders.num_users)
+    hp = np.stack([products[:, 0], products[own, own + 1]])   # own precoder's h^H p
+    t = signal + noise
+    return hp.conj() / t, t / (t - signal)
 
 
 @dataclass(frozen=True)
@@ -187,26 +167,26 @@ def assemble_coefficients(
 ) -> QuadCoefficients:
     """Average t, Psi, Phi, f, w, nu over the M samples for every (stream, user).
 
-    ``g`` and ``w`` are the (M, K, 2) arrays of ``update_equalizers_weights``.
-    Each average is one batched product over (stream, user), on the rows h^H
-    and e^H read as (K, M, N_t) views, not copies, so each user's product
-    sees the strides of a 2-D product on ``realizations_h[:, k]`` (at N_t = 1
-    BLAS picks its dot kernel by stride).  The means run along a contiguous
-    sample axis, which gives the same bits as a per-user 1-D mean.
+    ``g`` and ``w`` are the (2, K, M) arrays of ``update_equalizers_weights``.
+    Each average is one batched product over (stream, user) on the sample-last
+    rows of ``realizations_h`` and ``errors_h``, summed along the sample axis.
     """
-    m = g.shape[0]
-    g, w = np.ascontiguousarray(g.T), np.ascontiguousarray(w.T)   # (2, K, M)
-    t = w * np.abs(g) ** 2
-    channels_h = samples.realizations_h.transpose(1, 0, 2)          # (K, M, N_t), rows h^H
-    errors_h = samples.errors_h.transpose(1, 0, 2)
-    channels = np.conj(channels_h, order="C")
-    psi = (t[..., None] * channels).swapaxes(-1, -2) @ channels_h / m
-    errors = np.conj(errors_h, order="C")
-    phi = (t[PRIVATE, ..., None] * errors).swapaxes(-1, -2) @ errors_h / m
-    f = ((w * g.conj())[..., None, :] @ channels)[..., 0, :] / m
+    m = g.shape[-1]
+    t = w * _abs2(g)
+    psi = _weighted_gram(t, samples.realizations_h) / m
+    phi = _weighted_gram(t[PRIVATE], samples.errors_h) / m
+    # sum_m w g^* h = conj(sum_m w g h^*), so the rows h^H are read as stored.
+    f = np.conj(samples.realizations_h @ (w * g)[..., None])[..., 0] / m
     return QuadCoefficients(
         psi, phi, t.mean(-1), f, w.mean(-1), np.log(w).mean(-1), strategy, order
     )
+
+
+def _weighted_gram(t: np.ndarray, rows_h: np.ndarray) -> np.ndarray:
+    """sum_m t[..., k, m] h_m h_m^H per user k, from the (K, N_t, M) conjugated rows."""
+    weighted = t[..., None, :] * rows_h
+    np.conjugate(weighted, out=weighted)
+    return weighted @ rows_h.swapaxes(-1, -2)
 
 
 def _omega(coeffs: QuadCoefficients, precoders: PrecoderSet, stream: int, user: int) -> float:

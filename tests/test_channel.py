@@ -128,11 +128,12 @@ class TestSampleSet:
         cfg = make_cfg(num_users=3, num_tx_antennas=4, channel_variances=(1.0, 0.5, 2.0))
         s = draw_sample_set(cfg, draw_estimate(cfg, 0), 7, 0)
         for stored, conjugated in ((s.realizations, s.realizations_h), (s.errors, s.errors_h)):
-            assert conjugated.shape == (7, 3, 4)
-            assert np.array_equal(conjugated, stored.conj().transpose(0, 2, 1))
+            assert conjugated.shape == (3, 4, 7)   # user, antenna, sample
+            assert np.array_equal(conjugated, stored.conj().transpose(2, 1, 0))
             assert conjugated.flags.c_contiguous
             with pytest.raises(ValueError):
                 conjugated[0, 0, 0] = 0.0
+        assert not [name for name, value in vars(s).items() if np.shape(value) == (7, 3, 4)]
 
     def test_deterministic(self):
         cfg = make_cfg()

@@ -73,7 +73,7 @@ def test_omitted_later_interference_breaks_xi_hat_equivalence():
     )
     direct = np.mean([
         weighted_mse_bits(
-            g[m, user, PRIVATE], w[m, user, PRIVATE],
+            g[PRIVATE, user, m], w[PRIVATE, user, m],
             effective_power_T(Strategy.DPCRS1, PRIVATE, user,
                               samples.realizations[m, :, user],
                               samples.errors[m, :, user], prec),

@@ -213,14 +213,38 @@ def manual_sample_set(realizations, errors):
     return SampleSet(est, errors, realizations)
 
 
+class TestUpdate:
+    def test_stream_user_sample_layout(self):
+        rng = np.random.default_rng(31)
+        cfg = SystemConfig(3, 2, 15.0, 0.5, (1.0, 0.5, 2.0), 5)
+        s = draw_sample_set(cfg, draw_estimate(cfg, 0), 5, 0)
+        prec = PrecoderSet(
+            rng.standard_normal(2) + 1j * rng.standard_normal(2),
+            rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)),
+            (2, 0, 1),
+        )
+        g, w = update_equalizers_weights(Strategy.DPCRS1, s, prec)
+        for arr in (g, w):
+            assert arr.shape == (2, 3, 5)
+            assert arr.flags.c_contiguous
+        for stream in (COMMON, PRIVATE):
+            for user in range(3):
+                p = prec.common if stream == COMMON else prec.private[:, user]
+                for m in range(5):
+                    h, e = s.realizations[m, :, user], s.errors[m, :, user]
+                    T = effective_power_T(Strategy.DPCRS1, stream, user, h, e, prec)
+                    assert g[stream, user, m] == pytest.approx(mmse_equalizer(h, p, T), rel=1e-12)
+                    assert w[stream, user, m] == pytest.approx(mmse_weight(h, p, T), rel=1e-12)
+
+
 class TestAssemble:
     def test_single_sample_hand_example(self):
         # M=1, w=2, g=0.5, h=[1,0]: t=0.5, Psi=0.5*e1e1', nu=1, f=[1,0].
         realizations = np.zeros((1, 2, 1), complex)
         realizations[0, :, 0] = [1.0, 0.0]
         s = manual_sample_set(realizations, np.zeros((1, 2, 1), complex))
-        g = np.full((1, 1, 2), 0.5 + 0j)
-        w = np.full((1, 1, 2), 2.0)
+        g = np.full((2, 1, 1), 0.5 + 0j)   # stream, user, sample
+        w = np.full((2, 1, 1), 2.0)
         coeffs = assemble_coefficients(Strategy.RS1, s, g, w, None)
         assert coeffs.t[PRIVATE, 0] == pytest.approx(0.5)
         assert np.allclose(coeffs.psi[PRIVATE, 0], 0.5 * np.outer([1, 0], [1, 0]))
@@ -280,7 +304,7 @@ def direct_wmse_average(strategy, samples, prec, g, w, stream, user):
         e = samples.errors[m, :, user]
         T = effective_power_T(strategy, stream, user, h, e, prec)
         vals.append(
-            weighted_mse_bits(g[m, user, stream], w[m, user, stream], T, h, p)
+            weighted_mse_bits(g[stream, user, m], w[stream, user, m], T, h, p)
         )
     return float(np.mean(vals))
 
