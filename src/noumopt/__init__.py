@@ -25,8 +25,6 @@ from .strategies import (
     PrecoderSet,
     RateReport,
     Strategy,
-    instantaneous_common_rate,
-    instantaneous_private_rate,
     sampled_average_rates,
     wasr,
 )
@@ -42,16 +40,7 @@ from .wmmse import (
     PRIVATE,
     QuadCoefficients,
     assemble_coefficients,
-    effective_power_T,
-    mmse_equalizer,
-    mmse_weight,
-    mse,
-    rate_wmmse_identity_check,
     update_equalizers_weights,
-    weighted_mse_bits,
-    weighted_mse_nats,
-    xi_hat,
-    xi_hat_nats,
 )
 
 __version__ = "0.1.0"

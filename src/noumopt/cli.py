@@ -32,11 +32,11 @@ from .experiments import (
     run_esr_alpha,
     run_region,
     spec_from_dict,
-    validate,
     write_csv,
     write_manifest,
     write_region_hull,
 )
+from .reference import validate
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -113,32 +113,23 @@ def _resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
     return spec_from_dict(config)
 
 
-def _sweep_spec(args: argparse.Namespace) -> ExperimentSpec:
-    """``_resolve_spec`` for the sweep commands, which also take ``--threads``."""
+# Sweep command -> (runner, output file stem).
+_SWEEPS = {"region": (run_region, "region"), "esr-alpha": (run_esr_alpha, "esr_alpha")}
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise ConfigError("--threads must be >= 1")
-    return _resolve_spec(args)
-
-
-def _cmd_region(args: argparse.Namespace) -> int:
-    spec = _sweep_spec(args)
-    records = run_region(spec, threads=args.threads)
+    spec = _resolve_spec(args)
+    run, stem = _SWEEPS[args.command]
+    records = run(spec, threads=args.threads)
     out = Path(args.out)
-    write_csv(records, out / "region.csv")
-    write_manifest(spec, "region", out / "region_manifest.json")
-    if spec.convex_hull:
+    csv_path = out / f"{stem}.csv"
+    write_csv(records, csv_path)
+    write_manifest(spec, args.command, out / f"{stem}_manifest.json")
+    if args.command == "region":
         write_region_hull(records, out / "region_hull.csv")
-    print(f"wrote {len(records)} records to {out / 'region.csv'}")
-    return EXIT_OK
-
-
-def _cmd_esr_alpha(args: argparse.Namespace) -> int:
-    spec = _sweep_spec(args)
-    records = run_esr_alpha(spec, threads=args.threads)
-    out = Path(args.out)
-    write_csv(records, out / "esr_alpha.csv")
-    write_manifest(spec, "esr-alpha", out / "esr_alpha_manifest.json")
-    print(f"wrote {len(records)} records to {out / 'esr_alpha.csv'}")
+    print(f"wrote {len(records)} records to {csv_path}")
     return EXIT_OK
 
 
@@ -198,10 +189,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "region":
-            return _cmd_region(args)
-        if args.command == "esr-alpha":
-            return _cmd_esr_alpha(args)
+        if args.command in _SWEEPS:
+            return _cmd_sweep(args)
         if args.command == "solve":
             return _cmd_solve(args)
         if args.command == "validate":

@@ -21,20 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ao import AoConfig, AoResult, matched_filters, optimize, optimize_strategy
+from .ao import AoConfig, optimize_strategy
 from .channel import SystemConfig, draw_estimate, draw_sample_set
-from .strategies import PrecoderSet, Strategy, sampled_average_rates, wasr
-from .subproblem import build_subproblem, solve as solve_subproblem
-from .wmmse import (
-    COMMON,
-    PRIVATE,
-    assemble_coefficients,
-    effective_power_T,
-    rate_wmmse_identity_check,
-    update_equalizers_weights,
-    weighted_mse_bits,
-    xi_hat,
-)
+from .strategies import Strategy
 
 CSV_COLUMNS = (
     "experiment_id", "strategy", "alpha", "weight_u2", "realization", "user",
@@ -66,8 +55,6 @@ class ExperimentSpec:
     unicast_thresholds: tuple[float, ...] | None = None
     threshold_schedule: tuple[float, ...] | None = None
     ao: AoConfig = field(default_factory=AoConfig)
-    precoder_mode: str = "ao"  # "ao" | "fixed-mrt"
-    convex_hull: bool = False
 
     def __post_init__(self):
         if self.sample_count < 1 or self.num_realizations < 1:
@@ -81,13 +68,12 @@ class ExperimentSpec:
                 raise ConfigError("unicast_thresholds needs one entry per user")
             if any(t < 0 for t in self.unicast_thresholds):
                 raise ConfigError("unicast_thresholds must be >= 0")
-        if self.threshold_schedule is not None and self.alpha_grid and len(
-            self.threshold_schedule
-        ) != len(self.alpha_grid):
-            raise ConfigError("threshold_schedule needs one entry per alpha grid point")
-        if self.precoder_mode not in ("ao", "fixed-mrt"):
-            raise ConfigError("precoder_mode must be 'ao' or 'fixed-mrt'")
-        if (self.precoder_mode == "ao" and self.system.num_users > self.ao.order_cap
+        if self.threshold_schedule is not None:
+            if self.alpha_grid and len(self.threshold_schedule) != len(self.alpha_grid):
+                raise ConfigError("threshold_schedule needs one entry per alpha grid point")
+            if any(t < 0 for t in self.threshold_schedule):
+                raise ConfigError("threshold_schedule entries must be >= 0")
+        if (self.system.num_users > self.ao.order_cap
                 and any(s.uses_dpc for s in self.strategies)):
             raise ConfigError("num_users exceeds ao.order_cap for a DPC-family strategy")
 
@@ -107,11 +93,14 @@ def _check_keys(mapping: dict, allowed: set, where: str) -> None:
 
 
 def parse_strategies(names) -> tuple[Strategy, ...]:
-    """Strategy tags from a config or the command line; ConfigError if unknown."""
+    """Strategy tags from a config or the command line; ConfigError if unknown or repeated."""
     try:
-        return tuple(Strategy(name) for name in names)
+        strategies = tuple(Strategy(name) for name in names)
     except ValueError as exc:
         raise ConfigError(f"unknown strategy: {exc}") from exc
+    if len(set(strategies)) != len(strategies):
+        raise ConfigError(f"strategies must be distinct, got {list(names)}")
+    return strategies
 
 
 def _integer(value) -> int:
@@ -135,12 +124,6 @@ def _real(value) -> float:
     if not math.isfinite(result):
         raise ValueError(f"expected a finite number, got {value!r}")
     return result
-
-
-def _boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
 
 
 def _floats(values) -> tuple[float, ...]:
@@ -198,8 +181,6 @@ _CONVERTERS = {
     "unicast_thresholds": _optional_floats,
     "threshold_schedule": _optional_floats,
     "ao": _ao_config,
-    "precoder_mode": str,
-    "convex_hull": _boolean,
 }
 
 
@@ -268,10 +249,9 @@ class ResultRecord:
 
 @dataclass(frozen=True)
 class _Task:
-    index: int
+    experiment_id: str
     spec: ExperimentSpec
     strategy: Strategy
-    grid_index: int
     alpha: float
     weight_u2: float   # nan outside region mode
     weights: tuple[float, ...]
@@ -279,112 +259,65 @@ class _Task:
     realization: int
 
 
-def _run_task(task: _Task) -> tuple[int, list[dict]]:
+def _run_task(task: _Task) -> tuple[float, list[ResultRecord]]:
+    """The task's weighted sum rate (nan if infeasible) and its K records, esr/se unset."""
     spec = task.spec
     cfg = replace(spec.system, csit_alpha=task.alpha)
     estimate = draw_estimate(cfg, task.realization)
     samples = draw_sample_set(cfg, estimate, spec.sample_count, task.realization)
-    weights = np.asarray(task.weights)
-
-    if spec.precoder_mode == "fixed-mrt":
-        # Equal-power matched filters on the private streams, common stream off.
-        k_users = cfg.num_users
-        precoders = PrecoderSet(
-            np.zeros(cfg.num_tx_antennas, dtype=complex),
-            matched_filters(estimate.matrix, cfg.transmit_power / k_users),
-            tuple(range(k_users)),
-        )
-        report = sampled_average_rates(task.strategy, samples, precoders)
-        totals = report.private_per_user
-        c0, iters, status = 0.0, 0, "fixed"
-        esr_term = wasr(weights, totals)
+    result = optimize_strategy(
+        cfg, task.strategy, estimate, samples, np.asarray(task.weights),
+        spec.multicast_threshold, np.asarray(task.unicast_thresholds), spec.ao,
+    )
+    if result.status == "infeasible":
+        totals, c0, value = np.full(cfg.num_users, np.nan), math.nan, math.nan
     else:
-        result: AoResult = optimize_strategy(
-            cfg, task.strategy, estimate, samples, weights,
-            spec.multicast_threshold, np.asarray(task.unicast_thresholds), spec.ao,
+        totals, c0, value = result.totals(), result.alloc.multicast, result.wasr
+    records = [
+        ResultRecord(
+            task.experiment_id, task.strategy.value, task.alpha, task.weight_u2,
+            task.realization, k, float(totals[k]), float(c0), math.nan, math.nan,
+            result.iterations, result.status, spec.system.master_seed,
         )
-        if result.status == "infeasible":
-            totals = np.full(cfg.num_users, np.nan)
-            c0, iters, status = np.nan, result.iterations, "infeasible"
-            esr_term = np.nan
-        else:
-            totals = result.totals()
-            c0 = result.alloc.multicast
-            iters, status = result.iterations, result.status
-            esr_term = result.wasr
-
-    rows = [
-        {
-            "strategy": task.strategy.value,
-            "grid_index": task.grid_index,
-            "alpha": task.alpha,
-            "weight_u2": task.weight_u2,
-            "realization": task.realization,
-            "user": k,
-            "rate_total": float(totals[k]),
-            "common_c0": float(c0),
-            "group_value": float(esr_term),
-            "iters": iters,
-            "status": status,
-        }
         for k in range(cfg.num_users)
     ]
-    return task.index, rows
+    return float(value), records
 
 
-def _execute(tasks: list[_Task], threads: int) -> list[list[dict]]:
+def _execute(tasks: list[_Task], threads: int) -> list[tuple[float, list[ResultRecord]]]:
     if threads <= 1:
-        return [_run_task(t)[1] for t in tasks]
-    out: list[list[dict] | None] = [None] * len(tasks)
+        return [_run_task(t) for t in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-        for idx, rows in pool.map(_run_task, tasks, chunksize=1):
-            out[idx] = rows
-    return out  # type: ignore[return-value]
+        return list(pool.map(_run_task, tasks, chunksize=1))
+
+
+def mean_and_se(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error (0 for a single value)."""
+    se = float(np.std(values, ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
+    return float(np.mean(values)), se
 
 
 def _finalize(
-    spec: ExperimentSpec,
-    experiment_id: str,
-    per_task_rows: list[list[dict]],
+    spec: ExperimentSpec, results: list[tuple[float, list[ResultRecord]]]
 ) -> list[ResultRecord]:
-    """Attach group ESR/SE aggregates and freeze the records."""
-    groups: dict[tuple, list[float]] = {}
-    for rows in per_task_rows:
-        for row in rows:
-            if row["user"] == 0:
-                key = (row["strategy"], row["grid_index"])
-                groups.setdefault(key, []).append(row["group_value"])
-    stats: dict[tuple, tuple[float, float]] = {}
-    for key, values in groups.items():
-        arr = np.array([v for v in values if not math.isnan(v)])
-        if arr.size == 0:
-            raise InfeasibleEverywhereError(
-                f"every realization infeasible for group {key}"
-            )
-        se = float(np.std(arr, ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
-        stats[key] = (float(np.mean(arr)), se)
+    """Fill every record's esr/se with its group's aggregates over feasible realizations.
 
+    A group is one (strategy, grid point): ``num_realizations`` consecutive
+    tasks, because tasks are strategy-major, then grid point, then realization.
+    """
     records = []
-    for rows in per_task_rows:
-        for row in rows:
-            esr, se = stats[(row["strategy"], row["grid_index"])]
-            records.append(
-                ResultRecord(
-                    experiment_id=experiment_id,
-                    strategy=row["strategy"],
-                    alpha=row["alpha"],
-                    weight_u2=row["weight_u2"],
-                    realization=row["realization"],
-                    user=row["user"],
-                    rate_total=row["rate_total"],
-                    common_c0=row["common_c0"],
-                    esr=esr,
-                    se=se,
-                    iters=row["iters"],
-                    status=row["status"],
-                    seed=spec.system.master_seed,
-                )
+    n = spec.num_realizations
+    for start in range(0, len(results), n):
+        group = results[start:start + n]
+        values = np.array([value for value, _ in group if not math.isnan(value)])
+        if values.size == 0:
+            first = group[0][1][0]
+            raise InfeasibleEverywhereError(
+                f"every realization infeasible for {first.strategy} at "
+                f"alpha={first.alpha!r}, weight_u2={first.weight_u2!r}"
             )
+        esr, se = mean_and_se(values)
+        records.extend(replace(rec, esr=esr, se=se) for _, task in group for rec in task)
     return records
 
 
@@ -394,7 +327,7 @@ def _sweep(
     points: list[tuple[float, float, tuple[float, ...], tuple[float, ...]]],
     threads: int,
 ) -> list[ResultRecord]:
-    """Run every (strategy, grid point, realization) task and aggregate the rows.
+    """Run every (strategy, grid point, realization) task and aggregate the records.
 
     Each grid point is (alpha, weight_u2, weights, unicast thresholds).  Tasks
     are strategy-major, then grid point, then realization.  Every point's
@@ -410,15 +343,12 @@ def _sweep(
             raise ConfigError(f"invalid grid point alpha={alpha!r}: {exc}") from exc
         if not all(math.isfinite(w) and w > 0 for w in weights):
             raise ConfigError(f"invalid grid point weights={weights!r}: weights must be > 0")
-    combos = itertools.product(
-        spec.strategies, enumerate(points), range(spec.num_realizations)
-    )
+    combos = itertools.product(spec.strategies, points, range(spec.num_realizations))
     tasks = [
-        _Task(index, spec, strategy, g_idx, alpha, weight_u2, weights, thresholds, r)
-        for index, (strategy, (g_idx, (alpha, weight_u2, weights, thresholds)), r)
-        in enumerate(combos)
+        _Task(experiment_id, spec, strategy, alpha, weight_u2, weights, thresholds, r)
+        for strategy, (alpha, weight_u2, weights, thresholds), r in combos
     ]
-    return _finalize(spec, experiment_id, _execute(tasks, threads))
+    return _finalize(spec, _execute(tasks, threads))
 
 
 def run_region(spec: ExperimentSpec, threads: int = 1) -> list[ResultRecord]:
@@ -488,15 +418,12 @@ class RegionPoint:
     weight_u2: float
     er_user1: float
     er_user2: float
-    se_user1: float
-    se_user2: float
 
 
 def region_points(records: list[ResultRecord]) -> dict[str, list[RegionPoint]]:
     """Per-strategy (user-1 ER, user-2 ER) points, sorted by weight.
 
-    Means are over feasible realizations; each coordinate carries its
-    standard error.
+    Means are over feasible realizations.
     """
     grouped: dict[str, dict[float, dict[int, list[float]]]] = {}
     for rec in records:
@@ -512,16 +439,7 @@ def region_points(records: list[ResultRecord]) -> dict[str, list[RegionPoint]]:
             users = by_weight[u2]
             if 0 not in users or 1 not in users:
                 continue
-            a, b = np.array(users[0]), np.array(users[1])
-            points.append(
-                RegionPoint(
-                    weight_u2=u2,
-                    er_user1=float(a.mean()),
-                    er_user2=float(b.mean()),
-                    se_user1=float(a.std(ddof=1) / np.sqrt(a.size)) if a.size > 1 else 0.0,
-                    se_user2=float(b.std(ddof=1) / np.sqrt(b.size)) if b.size > 1 else 0.0,
-                )
-            )
+            points.append(RegionPoint(u2, float(np.mean(users[0])), float(np.mean(users[1]))))
         out[strategy] = points
     return out
 
@@ -552,151 +470,3 @@ def write_region_hull(records: list[ResultRecord], path: str | Path) -> None:
         for x, y in upper_right_hull(points):
             lines.append(f"{strategy},{x!r},{y!r}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Validation battery
-
-@dataclass(frozen=True)
-class ValidationCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-_CHECK_STRATEGIES = (Strategy.DPC, Strategy.DPCRS1, Strategy.RS1, Strategy.MULP)
-
-
-def random_stream_tuple(rng: np.random.Generator):
-    """Random (strategy, h, e, precoders, stream, user) for per-sample checks."""
-    k = int(rng.integers(1, 4))
-    n_t = int(rng.integers(1, 5))
-    strategy = _CHECK_STRATEGIES[int(rng.integers(4))]
-    order = tuple(int(i) for i in rng.permutation(k)) if strategy.uses_dpc else None
-    h = rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t)
-    e = 0.4 * (rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t))
-    prec = PrecoderSet(
-        rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t),
-        rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k)),
-        order,
-    )
-    user = int(rng.integers(k))
-    stream = COMMON if rng.random() < 0.5 else PRIVATE
-    return strategy, h, e, prec, stream, user
-
-
-def check_rate_wmmse_identity(seed: int, count: int) -> float:
-    """Worst |xi - (1 - R)| of the rate-WMMSE identity over random tuples."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(count):
-        strategy, h, e, prec, stream, user = random_stream_tuple(rng)
-        xi, rate = rate_wmmse_identity_check(strategy, h, e, prec, stream, user)
-        worst = max(worst, abs(xi - (1.0 - rate)))
-    return worst
-
-
-def check_xi_hat_equivalence(seed: int, count: int) -> float:
-    """Worst gap between xi_hat and the direct per-sample WMSE average."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for trial in range(count):
-        k = int(rng.integers(1, 4))
-        n_t = int(rng.integers(1, 4))
-        strategy = _CHECK_STRATEGIES[trial % 4]
-        order = tuple(int(i) for i in rng.permutation(k)) if strategy.uses_dpc else None
-        cfg = SystemConfig(k, n_t, 15.0, 0.5, (1.0,) * k, int(rng.integers(2**31)))
-        est = draw_estimate(cfg, 0)
-        samples = draw_sample_set(cfg, est, 8, 0)
-        assembly = PrecoderSet(
-            rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t),
-            rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k)),
-            order,
-        )
-        target = PrecoderSet(
-            rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t),
-            rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k)),
-            order,
-        )
-        g, w = update_equalizers_weights(strategy, samples, assembly)
-        coeffs = assemble_coefficients(strategy, samples, g, w, order)
-        for user in range(k):
-            for stream in (COMMON, PRIVATE):
-                p_i = target.common if stream == COMMON else target.private[:, user]
-                direct = np.mean([
-                    weighted_mse_bits(
-                        g[stream, user, m], w[stream, user, m],
-                        effective_power_T(strategy, stream, user,
-                                          samples.realizations[m, :, user],
-                                          samples.errors[m, :, user], target),
-                        samples.realizations[m, :, user], p_i,
-                    )
-                    for m in range(8)
-                ])
-                worst = max(worst, abs(xi_hat(coeffs, target, stream, user) - direct))
-    return worst
-
-
-def check_subproblem_kkt(seeds) -> float:
-    """Worst KKT residual of one subproblem solve per seed (inf if not optimal)."""
-    worst_kkt = 0.0
-    for seed in seeds:
-        strategy = _CHECK_STRATEGIES[seed % 4]
-        k, n_t = 2, 2
-        order = (0, 1) if strategy.uses_dpc else None
-        cfg = SystemConfig(k, n_t, 20.0, 0.6, (1.0,) * k, seed)
-        est = draw_estimate(cfg, 0)
-        samples = draw_sample_set(cfg, est, 8, 0)
-        rng = np.random.default_rng(seed + 50)
-        prec = PrecoderSet(
-            rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t),
-            rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k)),
-            order,
-        )
-        scale = np.sqrt(0.8 * cfg.transmit_power / prec.total_power())
-        prec = PrecoderSet(prec.common * scale, prec.private * scale, order)
-        g, w = update_equalizers_weights(strategy, samples, prec)
-        coeffs = assemble_coefficients(strategy, samples, g, w, order)
-        spec = build_subproblem(
-            coeffs, np.ones(k), np.zeros(k), 0.1, cfg.transmit_power, strategy, order
-        )
-        sol = solve_subproblem(spec, tol=1e-8, initial=prec)
-        residual = sol.kkt_residual if sol.status == "optimal" else np.inf
-        worst_kkt = max(worst_kkt, residual)
-    return worst_kkt
-
-
-def check_ao_monotonicity(seeds) -> tuple[float, int]:
-    """Worst WASR dip between AO iterates and the number of converged runs."""
-    worst_dip = 0.0
-    converged = 0
-    for seed in seeds:
-        cfg = SystemConfig(2, 2, 20.0, 0.6, (1.0, 1.0), seed)
-        est = draw_estimate(cfg, seed)
-        samples = draw_sample_set(cfg, est, 16, seed)
-        res = optimize(
-            cfg, Strategy.DPCRS1, est, samples, np.ones(2), order=(0, 1),
-            ao=AoConfig(convergence_eps=1e-4, max_iterations=200),
-        )
-        diffs = np.diff(res.trace)
-        if diffs.size:
-            worst_dip = max(worst_dip, float(-diffs.min()))
-        converged += res.status == "converged"
-    return worst_dip, converged
-
-
-def validate(seed: int = 0) -> list[ValidationCheck]:
-    """Acceptance checks 1, 3, 4 and 5 at smaller counts: the CLI release gate."""
-    identity = check_rate_wmmse_identity(seed, 200)
-    xi_gap = check_xi_hat_equivalence(seed, 40)
-    dip, converged = check_ao_monotonicity(range(seed, seed + 3))
-    kkt = check_subproblem_kkt(range(seed, seed + 3))
-    return [
-        ValidationCheck("rate_wmmse_identity", identity <= 1e-9,
-                        f"max |xi-(1-R)| = {identity:.2e} over 200 tuples"),
-        ValidationCheck("xi_hat_equivalence", xi_gap <= 1e-10,
-                        f"max deviation = {xi_gap:.2e} over 40 instances"),
-        ValidationCheck("ao_monotonicity", dip <= 1e-6,
-                        f"worst dip = {dip:.2e}, converged {converged}/3"),
-        ValidationCheck("solver_kkt", kkt <= 1e-7, f"max KKT residual = {kkt:.2e} over 3 solves"),
-    ]

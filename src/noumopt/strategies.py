@@ -1,4 +1,4 @@
-"""Transmission strategies and their instantaneous / sampled-average rates.
+"""Transmission strategies and their sampled-average rates.
 
 Four strategies share one signal structure (a common-stream precoder plus K
 private precoders):
@@ -196,46 +196,6 @@ def _stream_powers(
     signal = np.stack([gains[:, 0], g_true[own, own]])
     noise = np.stack([g_true.sum(axis=1) + 1.0, private + _masked_sums(g_true, channel)])
     return products, signal, noise
-
-
-def instantaneous_common_rate(
-    strategy: Strategy,
-    channel: np.ndarray,
-    error: np.ndarray | None,
-    precoders: PrecoderSet,
-) -> float:
-    """Rate of decoding the common/multicast stream at one user, one channel draw."""
-    del strategy, error  # common-stream decoding is strategy-independent
-    sig = np.abs(np.vdot(channel, precoders.common)) ** 2
-    interference = np.sum(np.abs(channel.conj() @ precoders.private) ** 2)
-    return float(np.log2(1.0 + sig / (interference + 1.0)))
-
-
-def instantaneous_private_rate(
-    strategy: Strategy,
-    channel: np.ndarray,
-    error: np.ndarray | None,
-    precoders: PrecoderSet,
-    user: int,
-) -> float:
-    """Rate of decoding user k's private stream after the common stream is removed.
-
-    For DPC-family strategies the interference from streams encoded before
-    user k survives only through the estimation-error channel; streams
-    encoded after contribute in full.  Linear strategies see every other
-    private stream in full.  A reference: it reads the order itself, not
-    through ``interference_masks``, so that tests can check the masks against it.
-    """
-    g_true = np.abs(channel.conj() @ precoders.private) ** 2
-    sig = g_true[user]
-    if strategy.uses_dpc:
-        order = precoders.require_order()
-        pos = order.index(user)
-        g_err = np.abs(error.conj() @ precoders.private) ** 2
-        denom = 1.0 + np.sum(g_err[list(order[:pos])]) + np.sum(g_true[list(order[pos + 1:])])
-    else:
-        denom = 1.0 + np.sum(g_true) - sig
-    return float(np.log2(1.0 + sig / denom))
 
 
 def sampled_average_rates(

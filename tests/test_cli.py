@@ -51,8 +51,6 @@ class TestExitCodes:
         pytest.param({"ao": {"subproblem_tol": 0.0}}, id="ao-zero-tol"),
         pytest.param({"ao": {"order_cap": 0}}, id="ao-zero-order-cap"),
         pytest.param({"ao": {"order_cap": 1}, "strategies": ["dpc"]}, id="ao-order-cap-below-k"),
-        pytest.param({"convex_hull": "false"}, id="convex-hull-text"),
-        pytest.param({"convex_hull": 1}, id="convex-hull-number"),
         pytest.param({"sample_count": 2.5}, id="sample-count-fraction"),
         pytest.param({"sample_count": True}, id="sample-count-bool"),
         pytest.param({"num_realizations": 1.5}, id="realizations-fraction"),
@@ -90,6 +88,12 @@ class TestExitCodes:
         pytest.param("region", {}, ["--eps", "0"], "config error", id="eps-zero"),
         pytest.param("region", {}, ["--max-iters", "0"], "config error", id="max-iters-zero"),
         pytest.param("region", {}, ["--threads", "0"], "config error", id="threads-zero"),
+        pytest.param("region", {"strategies": ["mulp", "mulp"]}, [], "config error",
+                     id="strategies-repeated"),
+        pytest.param("region", {}, ["--strategies", "rs1,mulp,rs1"], "config error",
+                     id="strategies-flag-repeated"),
+        pytest.param("esr-alpha", {"alpha_grid": [0.3, 0.9], "threshold_schedule": [0.1, -0.1]},
+                     [], "config error", id="threshold-schedule-negative"),
         pytest.param("esr-alpha", {"alpha_grid": [0.5, -0.1]}, [], "config error",
                      id="alpha-grid-negative"),
         pytest.param("esr-alpha", {"alpha_grid": [0.0, 0.5],
@@ -149,11 +153,10 @@ class TestExitCodes:
         assert main(argv) == 1
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("hull", [False, True])
-    def test_convex_hull_flag(self, tmp_path, hull):
-        cfg = write_config(tmp_path, {**GOOD, "convex_hull": hull})
+    def test_region_writes_hull(self, tmp_path):
+        cfg = write_config(tmp_path, GOOD)
         assert main(["region", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        assert (tmp_path / "o" / "region_hull.csv").exists() == hull
+        assert (tmp_path / "o" / "region_hull.csv").exists()
 
     def test_missing_config_flag(self, tmp_path):
         assert main(["region", "--out", str(tmp_path)]) == 1
@@ -232,3 +235,16 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_sweep_path_loads_no_reference():
+    oracles = ["effective_power_T", "instantaneous_common_rate", "instantaneous_private_rate",
+               "mmse_equalizer", "mmse_weight", "mse", "rate_wmmse_identity_check",
+               "weighted_mse_bits", "weighted_mse_nats", "xi_hat", "xi_hat_nats"]
+    assert [name for name in oracles if hasattr(noumopt, name)] == []
+    code = "import sys, noumopt, noumopt.experiments; print('noumopt.reference' in sys.modules)"
+    src = str(Path(noumopt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"

@@ -21,11 +21,11 @@ from noumopt.experiments import (
     run_region,
     spec_from_dict,
     upper_right_hull,
-    validate,
     write_csv,
     write_manifest,
     write_region_hull,
 )
+from noumopt.reference import matched_filter_esr, validate
 
 
 def base_config(**kwargs):
@@ -132,18 +132,9 @@ class TestErgodicRates:
         assert oracle == pytest.approx(by_quad, abs=1e-9)
         assert oracle == pytest.approx(5.884, abs=5e-3)
 
-        spec = spec_from_dict({
-            "system": {"num_users": 1, "num_tx_antennas": 1, "snr_db": 20.0,
-                       "csit_alpha": 0.0, "channel_variances": [1.0], "master_seed": 0},
-            "strategies": ["mulp"],
-            "sample_count": 400,
-            "num_realizations": 5,
-            "alpha_grid": [0.0],
-            "precoder_mode": "fixed-mrt",
-        })
-        record = run_esr_alpha(spec)[0]
-        slack = 3.0 * max(record.se, 1e-6)
-        assert abs(record.esr - oracle) <= slack
+        esr, se = matched_filter_esr(SystemConfig(1, 1, 20.0, 0.0, (1.0,), 0), 400, 5)
+        slack = 3.0 * max(se, 1e-6)
+        assert abs(esr - oracle) <= slack
 
     def test_partial_infeasibility_recorded(self):
         # Seed 1: realization 0 cannot carry the multicast threshold, 1 can.

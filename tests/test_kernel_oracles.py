@@ -22,13 +22,15 @@ from noumopt import (
     assemble_coefficients,
     draw_estimate,
     draw_sample_set,
+    sampled_average_rates,
+    update_equalizers_weights,
+)
+from noumopt.reference import (
     effective_power_T,
     instantaneous_common_rate,
     instantaneous_private_rate,
     mmse_equalizer,
     mmse_weight,
-    sampled_average_rates,
-    update_equalizers_weights,
 )
 
 RTOL = 1e-12

@@ -16,9 +16,11 @@ from noumopt import (
     assemble_coefficients,
     draw_estimate,
     draw_sample_set,
+    update_equalizers_weights,
+)
+from noumopt.reference import (
     effective_power_T,
     mmse_equalizer,
-    update_equalizers_weights,
     weighted_mse_bits,
     xi_hat,
 )

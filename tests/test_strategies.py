@@ -12,12 +12,11 @@ from noumopt import (
     SystemConfig,
     draw_estimate,
     draw_sample_set,
-    instantaneous_common_rate,
-    instantaneous_private_rate,
     sampled_average_rates,
     wasr,
 )
 from noumopt.channel import ChannelEstimate
+from noumopt.reference import instantaneous_common_rate, instantaneous_private_rate
 from noumopt.strategies import interference_masks
 
 

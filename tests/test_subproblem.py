@@ -17,10 +17,10 @@ from noumopt import (
     kkt_residual,
     solve,
     update_equalizers_weights,
-    xi_hat_nats,
 )
 from noumopt import ipm, optimize_strategy
 from noumopt import subproblem as subproblem_module
+from noumopt.reference import xi_hat_nats
 from noumopt.wmmse import LN2
 
 

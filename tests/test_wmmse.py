@@ -12,19 +12,21 @@ from noumopt import (
     assemble_coefficients,
     draw_estimate,
     draw_sample_set,
+    sampled_average_rates,
+    update_equalizers_weights,
+)
+from noumopt.channel import ChannelEstimate
+from noumopt.reference import (
     effective_power_T,
     mmse_equalizer,
     mmse_weight,
     mse,
     rate_wmmse_identity_check,
-    sampled_average_rates,
-    update_equalizers_weights,
     weighted_mse_bits,
     weighted_mse_nats,
     xi_hat,
     xi_hat_nats,
 )
-from noumopt.channel import ChannelEstimate
 from noumopt.wmmse import LN2
 
 
