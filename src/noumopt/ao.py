@@ -9,7 +9,7 @@ nats-flavoured surrogate, each full iteration cannot decrease the true
 weighted average sum rate beyond solver tolerance.
 
 DPC-family strategies additionally search over encoding orders by full
-enumeration (factorial in the number of users, capped).
+enumeration (factorial in the number of users, capped at ``ORDER_CAP`` users).
 """
 from __future__ import annotations
 
@@ -34,6 +34,9 @@ from .wmmse import COMMON, LN2, QuadCoefficients, assemble_coefficients, update_
 # (only when no multicast rate is required); bounds the one-step WASR loss.
 _PIN_RATE_TOL = 1e-9
 
+# Most users whose encoding orders a DPC-family strategy enumerates (5! = 120).
+ORDER_CAP = 5
+
 
 @dataclass(frozen=True)
 class AoConfig:
@@ -41,25 +44,19 @@ class AoConfig:
 
     convergence_eps: float = 1e-4
     max_iterations: int = 200
-    subproblem_tol: float = 1e-8
-    order_cap: int = 5
 
     def __post_init__(self):
         if self.convergence_eps <= 0:
             raise ValueError("convergence_eps must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.subproblem_tol <= 0:
-            raise ValueError("subproblem_tol must be > 0")
-        if self.order_cap < 1:
-            raise ValueError("order_cap must be >= 1")
 
 
 @dataclass(frozen=True)
 class AoResult:
     strategy: Strategy
     precoders: PrecoderSet
-    alloc: CommonRateAlloc
+    alloc: CommonRateAlloc | None    # None only when infeasible
     report: RateReport
     trace: tuple[float, ...]
     status: str                      # converged | max_iter | infeasible | rejected
@@ -95,7 +92,6 @@ def matched_filters(h: np.ndarray, power_per_user: float) -> np.ndarray:
 
 def initialize_precoders(
     estimate: ChannelEstimate,
-    strategy: Strategy,
     cfg: SystemConfig,
     order: tuple[int, ...] | None = None,
 ) -> PrecoderSet:
@@ -124,35 +120,18 @@ def initialize_precoders(
     return PrecoderSet(common, private, order)
 
 
-def _seed_alloc(
-    strategy: Strategy,
-    report: RateReport,
-    multicast_threshold: float,
-) -> CommonRateAlloc:
-    """Feasible-by-construction allocation for the initial trace point."""
-    bound = report.common_bound
-    k = report.num_users
-    rates = np.zeros(k + 1)
-    if strategy.has_common_unicast:
-        rates[0] = min(multicast_threshold, bound)
-        rates[1:] = (bound - rates[0]) / k
-    else:
-        rates[0] = bound
-    return CommonRateAlloc(rates)
-
-
 def _should_pin_common(
     strategy: Strategy,
     multicast_threshold: float,
     coeffs: QuadCoefficients,
-    prev_alloc: CommonRateAlloc,
+    common_bound: float,
 ) -> bool:
     if multicast_threshold > 0:
         return False
     if not strategy.has_common_unicast:
         return True
     surrogate_rate = float(np.max(coeffs.nu[COMMON])) / LN2
-    return surrogate_rate < _PIN_RATE_TOL and prev_alloc.total() < _PIN_RATE_TOL
+    return surrogate_rate < _PIN_RATE_TOL and common_bound < _PIN_RATE_TOL
 
 
 # Rescue starts for active multicast thresholds: increasing common-stream
@@ -162,7 +141,6 @@ _RESCUE_COMMON_FRACTIONS = (0.5, 0.9, 1.0 - 1e-6)
 
 def _common_boosted_initializer(
     estimate: ChannelEstimate,
-    strategy: Strategy,
     cfg: SystemConfig,
     order: tuple[int, ...] | None,
     common_fraction: float,
@@ -174,7 +152,7 @@ def _common_boosted_initializer(
     thresholds (its reach is local), so the first subproblem can look
     infeasible even though the true problem is feasible.
     """
-    base = initialize_precoders(estimate, strategy, cfg, order)
+    base = initialize_precoders(estimate, cfg, order)
     p_t = cfg.transmit_power
     common_power = np.sum(np.abs(base.common) ** 2)
     private_power = np.sum(np.abs(base.private) ** 2)
@@ -208,30 +186,25 @@ def optimize(
     if unicast_thresholds is None:
         unicast_thresholds = np.zeros(k_users)
     unicast_thresholds = np.asarray(unicast_thresholds, dtype=float)
-    if strategy.uses_dpc:
-        if order is None:
-            raise ValueError(f"{strategy.value} requires an encoding order")
-        order = tuple(order)
-    else:
-        order = tuple(order) if order is not None else None
+    order = None if order is None else tuple(order)
 
     if initial is None:
-        precoders = initialize_precoders(estimate, strategy, cfg, order)
+        precoders = initialize_precoders(estimate, cfg, order)
     else:
         precoders = replace(initial, order=order)
 
     result = _run_ao(
         cfg, strategy, samples, weights, multicast_threshold,
-        unicast_thresholds, order, ao, precoders,
+        unicast_thresholds, ao, precoders,
     )
     if multicast_threshold > 0:
         for fraction in _RESCUE_COMMON_FRACTIONS:
             if not (result.status == "infeasible" and result.iterations == 0):
                 break
-            boosted = _common_boosted_initializer(estimate, strategy, cfg, order, fraction)
+            boosted = _common_boosted_initializer(estimate, cfg, order, fraction)
             result = _run_ao(
                 cfg, strategy, samples, weights, multicast_threshold,
-                unicast_thresholds, order, ao, boosted,
+                unicast_thresholds, ao, boosted,
             )
     return result
 
@@ -313,38 +286,30 @@ def _run_ao(
     weights: np.ndarray,
     multicast_threshold: float,
     unicast_thresholds: np.ndarray,
-    order: tuple[int, ...] | None,
     ao: AoConfig,
     precoders: PrecoderSet,
 ) -> AoResult:
+    order = precoders.order
     report = sampled_average_rates(strategy, samples, precoders)
     alloc = _greedy_alloc(strategy, report, weights, multicast_threshold, unicast_thresholds)
-    start_feasible = alloc is not None
-    if alloc is None:
-        alloc = _seed_alloc(strategy, report, multicast_threshold)
-    current = wasr(weights, alloc.per_user + report.private_per_user)
+    # A start that misses the rate constraints has the WASR of an infeasible
+    # point, -inf; only an iterate that meets them may be returned.
+    current = -np.inf if alloc is None else wasr(weights, alloc.per_user + report.private_per_user)
     trace = [current]
     start = (current, precoders, alloc, report)
-    # Only an iterate that meets the rate constraints may be returned.
-    best = start if start_feasible else None
+    best = None if alloc is None else start
     status = "max_iter"
     last_kkt = np.inf
 
     for _ in range(ao.max_iterations):
         g, w = update_equalizers_weights(strategy, samples, precoders)
         coeffs = assemble_coefficients(strategy, samples, g, w, order)
-        pin = _should_pin_common(strategy, multicast_threshold, coeffs, alloc)
+        pin = _should_pin_common(strategy, multicast_threshold, coeffs, report.common_bound)
         spec = build_subproblem(
-            coeffs,
-            weights,
-            unicast_thresholds,
-            multicast_threshold,
-            cfg.transmit_power,
-            strategy,
-            order,
+            coeffs, weights, unicast_thresholds, multicast_threshold, cfg.transmit_power,
             pin_common=pin,
         )
-        sol: SubproblemSolution = solve(spec, tol=ao.subproblem_tol, initial=precoders)
+        sol: SubproblemSolution = solve(spec, initial=precoders)
         if sol.status == "infeasible":
             status = "infeasible"
             break
@@ -411,9 +376,9 @@ def optimize_strategy(
     """
     orders = (None,)
     if strategy.uses_dpc:
-        if cfg.num_users > ao.order_cap:
+        if cfg.num_users > ORDER_CAP:
             raise ValueError(
-                f"num_users={cfg.num_users} exceeds the order enumeration cap {ao.order_cap}"
+                f"num_users={cfg.num_users} exceeds the order enumeration cap {ORDER_CAP}"
             )
         orders = itertools.permutations(range(cfg.num_users))
     best: AoResult | None = None

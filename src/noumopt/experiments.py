@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ao import AoConfig, optimize_strategy
+from .ao import ORDER_CAP, AoConfig, optimize_strategy
 from .channel import SystemConfig, draw_estimate, draw_sample_set
 from .strategies import Strategy
 
@@ -73,9 +73,10 @@ class ExperimentSpec:
                 raise ConfigError("threshold_schedule needs one entry per alpha grid point")
             if any(t < 0 for t in self.threshold_schedule):
                 raise ConfigError("threshold_schedule entries must be >= 0")
-        if (self.system.num_users > self.ao.order_cap
-                and any(s.uses_dpc for s in self.strategies)):
-            raise ConfigError("num_users exceeds ao.order_cap for a DPC-family strategy")
+        if self.system.num_users > ORDER_CAP and any(s.uses_dpc for s in self.strategies):
+            raise ConfigError(
+                f"num_users exceeds the order cap {ORDER_CAP} for a DPC-family strategy"
+            )
 
     def resolved_unicast_thresholds(self) -> np.ndarray:
         if self.unicast_thresholds is None:
@@ -145,8 +146,6 @@ _SYSTEM_CONVERTERS = {
 _AO_CONVERTERS = {
     "convergence_eps": _real,
     "max_iterations": _integer,
-    "subproblem_tol": _real,
-    "order_cap": _integer,
 }
 
 

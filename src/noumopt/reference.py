@@ -337,9 +337,7 @@ def check_subproblem_kkt(seeds) -> float:
         prec = PrecoderSet(prec.common * scale, prec.private * scale, order)
         g, w = update_equalizers_weights(strategy, samples, prec)
         coeffs = assemble_coefficients(strategy, samples, g, w, order)
-        spec = build_subproblem(
-            coeffs, np.ones(k), np.zeros(k), 0.1, cfg.transmit_power, strategy, order
-        )
+        spec = build_subproblem(coeffs, np.ones(k), np.zeros(k), 0.1, cfg.transmit_power)
         sol = solve_subproblem(spec, tol=1e-8, initial=prec)
         residual = sol.kkt_residual if sol.status == "optimal" else np.inf
         worst_kkt = max(worst_kkt, residual)

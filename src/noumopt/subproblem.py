@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ipm import Quadratics, find_strictly_feasible, kkt_parts, solve_barrier, solve_primal_dual
-from .strategies import CommonRateAlloc, PrecoderSet, Strategy, interference_masks
+from .strategies import CommonRateAlloc, PrecoderSet, interference_masks
 from .wmmse import COMMON, LN2, PRIVATE, QuadCoefficients
 
 _PSD_TOL = -1e-9
@@ -110,8 +110,6 @@ def build_subproblem(
     unicast_thresholds: np.ndarray,
     multicast_threshold: float,
     power_budget: float,
-    strategy: Strategy,
-    order: tuple[int, ...] | None = None,
     pin_common: bool = False,
 ) -> SubproblemSpec:
     """Compile the convex program for fixed equalizers and weights.
@@ -122,8 +120,8 @@ def build_subproblem(
     phi placed by ``interference_masks(coeffs.strategy, coeffs.order, K)``.
     The rows read slices of the stacked coefficients: ``psi`` and ``phi`` as
     one (3K, N_t, N_t) stack, ``f`` and the constants ``t + w - nu`` per
-    stream.  ``strategy`` sets the slacks; one small matrix couples them to
-    the rows.
+    stream.  ``coeffs.strategy`` sets the slacks; one small matrix couples
+    them to the rows.
 
     ``pin_common`` drops the slack vector and the common-stream constraints
     entirely; it is only valid when the multicast threshold is zero (the
@@ -140,15 +138,13 @@ def build_subproblem(
         raise ValueError("thresholds must be >= 0 and power budget > 0")
     if pin_common and multicast_threshold > 0:
         raise ValueError("pin_common requires a zero multicast threshold")
-    if strategy.uses_dpc and (order is None or coeffs.order != tuple(order)):
-        raise ValueError("DPC-family subproblems need the coefficients' encoding order")
     num_tx = coeffs.f.shape[-1]
     mats = np.concatenate([coeffs.psi.reshape(-1, num_tx, num_tx), coeffs.phi])
     _validate_psd(mats)
 
     if pin_common:
         num_slack = 0
-    elif strategy.has_common_unicast:
+    elif coeffs.strategy.has_common_unicast:
         num_slack = k_users + 1
     else:
         num_slack = 1
@@ -214,7 +210,7 @@ def build_subproblem(
         unicast_thresholds=unicast_thresholds,
         multicast_threshold=multicast_threshold,
         power_budget=power_budget,
-        order=tuple(order) if order is not None else None,
+        order=coeffs.order,
         num_users=k_users,
         num_tx=num_tx,
         num_slack=num_slack,

@@ -111,9 +111,7 @@ def test_criterion_4_subproblem_correctness():
     prec = PrecoderSet(prec.common * scale, prec.private * scale, None)
     g, w = update_equalizers_weights(Strategy.RS1, samples, prec)
     coeffs = assemble_coefficients(Strategy.RS1, samples, g, w, None)
-    spec = build_subproblem(
-        coeffs, np.ones(1), np.zeros(1), 0.0, cfg.transmit_power, Strategy.RS1, None
-    )
+    spec = build_subproblem(coeffs, np.ones(1), np.zeros(1), 0.0, cfg.transmit_power)
     sol = solve(spec, tol=1e-9, initial=prec)
     worst_kkt = max(worst_kkt, sol.kkt_residual)
     solves += 1

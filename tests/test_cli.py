@@ -27,6 +27,9 @@ GOOD = {
     "ao": {"max_iterations": 20},
 }
 
+# One user more than a DPC-family strategy enumerates the encoding orders of.
+SIX_USERS = {**GOOD["system"], "num_users": 6, "channel_variances": [1.0] * 6}
+
 
 class TestExitCodes:
     def test_validate_passes(self, capsys):
@@ -48,9 +51,9 @@ class TestExitCodes:
         pytest.param({"ao": [1]}, id="ao-not-object"),
         pytest.param({"ao": {"n_starts": 2}}, id="ao-n-starts"),
         pytest.param({"ao": {"init_scheme": "mrt-svd"}}, id="ao-init-scheme"),
-        pytest.param({"ao": {"subproblem_tol": 0.0}}, id="ao-zero-tol"),
-        pytest.param({"ao": {"order_cap": 0}}, id="ao-zero-order-cap"),
-        pytest.param({"ao": {"order_cap": 1}, "strategies": ["dpc"]}, id="ao-order-cap-below-k"),
+        # Keys of knobs that no longer exist, at their old defaults.
+        pytest.param({"ao": {"subproblem_tol": 1e-8, "order_cap": 5}}, id="ao-removed-keys"),
+        pytest.param({"system": SIX_USERS, "strategies": ["dpc"]}, id="ao-order-cap-below-k"),
         pytest.param({"sample_count": 2.5}, id="sample-count-fraction"),
         pytest.param({"sample_count": True}, id="sample-count-bool"),
         pytest.param({"num_realizations": 1.5}, id="realizations-fraction"),
@@ -74,8 +77,6 @@ class TestExitCodes:
         pytest.param({"threshold_schedule": [True]}, id="schedule-bool"),
         pytest.param({"ao": {"convergence_eps": True}}, id="ao-eps-bool"),
         pytest.param({"ao": {"convergence_eps": "1e-4"}}, id="ao-eps-text"),
-        pytest.param({"ao": {"subproblem_tol": True}}, id="ao-tol-bool"),
-        pytest.param({"ao": {"subproblem_tol": None}}, id="ao-tol-null"),
     ])
     def test_unknown_key_is_config_error(self, tmp_path, update, capsys):
         cfg = write_config(tmp_path, {**GOOD, **update})
@@ -112,7 +113,7 @@ class TestExitCodes:
         pytest.param("solve", {}, ["--strategies", "mulp"], "unrecognized arguments",
                      id="solve-strategies"),
         # The order cap is checked against --strategy, not the config's strategies.
-        pytest.param("solve", {"strategies": ["rs1"], "ao": {"order_cap": 1}},
+        pytest.param("solve", {"system": SIX_USERS, "strategies": ["rs1"]},
                      ["--strategy", "dpc"], "config error", id="solve-order-cap"),
         pytest.param("validate", None, ["--seed", "-1"], "config error",
                      id="validate-seed-negative"),

@@ -84,8 +84,7 @@ class TestConfigParsing:
         assert config_hash(spec_a) != config_hash(spec_c)
 
     def test_every_ao_field_is_a_config_key(self):
-        values = {"convergence_eps": 1e-3, "max_iterations": 7, "subproblem_tol": 1e-9,
-                  "order_cap": 3}
+        values = {"convergence_eps": 1e-3, "max_iterations": 7}
         spec = spec_from_dict(base_config(ao=values))
         assert dataclasses.asdict(spec.ao) == values
 

@@ -49,9 +49,7 @@ def make_instance(seed=0, k=2, n_t=2, m=8, strategy=Strategy.DPCRS1, snr_db=20.0
 class TestBuildStructure:
     def test_dpcrs1_k2_counts(self):
         cfg, samples, prec, coeffs, order = make_instance(k=2, n_t=3)
-        spec = build_subproblem(
-            coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power, Strategy.DPCRS1, order
-        )
+        spec = build_subproblem(coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power)
         # 2 common decodability + 2 QoS + 1 multicast QoS + power + 3 sign = 9
         assert len(spec.constraints) == 9
         assert spec.num_slack == 3
@@ -59,9 +57,7 @@ class TestBuildStructure:
 
     def test_dpc_slack_reduces_to_one(self):
         cfg, samples, prec, coeffs, order = make_instance(strategy=Strategy.DPC)
-        spec = build_subproblem(
-            coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power, Strategy.DPC, order
-        )
+        spec = build_subproblem(coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power)
         assert spec.num_slack == 1
         # 2 common + 2 QoS + 1 multicast + power + 1 sign = 7
         assert len(spec.constraints) == 7
@@ -69,22 +65,18 @@ class TestBuildStructure:
     def test_pinned_drops_common_constraints(self):
         cfg, samples, prec, coeffs, order = make_instance(strategy=Strategy.MULP)
         spec = build_subproblem(
-            coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power, Strategy.MULP,
-            pin_common=True,
+            coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power, pin_common=True,
         )
         assert spec.num_slack == 0
         assert len(spec.constraints) == 3  # 2 QoS + power
         with pytest.raises(ValueError):
             build_subproblem(
-                coeffs, np.ones(2), np.zeros(2), 0.5, cfg.transmit_power,
-                Strategy.MULP, pin_common=True,
+                coeffs, np.ones(2), np.zeros(2), 0.5, cfg.transmit_power, pin_common=True,
             )
 
     def test_pack_layout_and_round_trip(self):
         cfg, samples, prec, coeffs, order = make_instance(k=3, n_t=2)
-        spec = build_subproblem(
-            coeffs, np.ones(3), np.zeros(3), 0.0, cfg.transmit_power, Strategy.DPCRS1, order
-        )
+        spec = build_subproblem(coeffs, np.ones(3), np.zeros(3), 0.0, cfg.transmit_power)
         xhat = -np.arange(1.0, 5.0)
         z = spec.pack(prec, xhat)
         columns = [prec.common] + [prec.private[:, k] for k in range(3)]
@@ -98,9 +90,7 @@ class TestBuildStructure:
 
     def test_zero_thresholds_inactive_at_update_point(self):
         cfg, samples, prec, coeffs, order = make_instance()
-        spec = build_subproblem(
-            coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power, Strategy.DPCRS1, order
-        )
+        spec = build_subproblem(coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power)
         values = spec.constraint_values(prec, np.zeros(3))
         labels = spec.constraint_labels
         for lbl, val in zip(labels, values):
@@ -114,28 +104,23 @@ class TestBuildStructure:
         psi[PRIVATE, 0] -= (min_eig + 1e-6) * np.eye(2)
         bad = dataclasses.replace(coeffs, psi=psi)
         with pytest.raises(ValueError, match="PSD"):
-            build_subproblem(
-                bad, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power, Strategy.DPCRS1, order
-            )
+            build_subproblem(bad, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power)
 
     def test_rejects_bad_inputs(self):
         cfg, samples, prec, coeffs, order = make_instance()
         with pytest.raises(ValueError):
-            build_subproblem(coeffs, np.array([1.0, -1.0]), np.zeros(2), 0.0, 100.0,
-                             Strategy.DPCRS1, order)
+            build_subproblem(coeffs, np.array([1.0, -1.0]), np.zeros(2), 0.0, 100.0)
         with pytest.raises(ValueError):
-            build_subproblem(coeffs, np.ones(2), np.array([-0.1, 0.0]), 0.0, 100.0,
-                             Strategy.DPCRS1, order)
-        with pytest.raises(ValueError):
-            build_subproblem(coeffs, np.ones(2), np.zeros(2), 0.0, 100.0,
-                             Strategy.DPC, None)
+            build_subproblem(coeffs, np.ones(2), np.array([-0.1, 0.0]), 0.0, 100.0)
+        # DPC-family coefficients carry the encoding order their rows need.
+        with pytest.raises(ValueError, match="encoding order"):
+            build_subproblem(dataclasses.replace(coeffs, order=None), np.ones(2), np.zeros(2),
+                             0.0, 100.0)
 
     def test_objective_matches_raw_coefficient_sum(self):
         cfg, samples, prec, coeffs, order = make_instance(seed=5)
         u = np.array([1.3, 0.7])
-        spec = build_subproblem(
-            coeffs, u, np.zeros(2), 0.0, cfg.transmit_power, Strategy.DPCRS1, order
-        )
+        spec = build_subproblem(coeffs, u, np.zeros(2), 0.0, cfg.transmit_power)
         rng = np.random.default_rng(2)
         for _ in range(20):
             p = PrecoderSet(
@@ -160,9 +145,7 @@ class TestBuildStructure:
             cfg, samples, prec, coeffs, order = make_instance(
                 seed=11, k=k, strategy=strategy, order=order
             )
-            spec = build_subproblem(
-                coeffs, np.ones(k), np.zeros(k), 0.0, cfg.transmit_power, strategy, order
-            )
+            spec = build_subproblem(coeffs, np.ones(k), np.zeros(k), 0.0, cfg.transmit_power)
             rng = np.random.default_rng(k)
             for _ in range(2):
                 p = PrecoderSet(
@@ -182,10 +165,7 @@ class TestSolve:
     def test_kkt_residual_below_tolerance(self):
         for seed in range(4):
             cfg, samples, prec, coeffs, order = make_instance(seed=seed)
-            spec = build_subproblem(
-                coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power,
-                Strategy.DPCRS1, order,
-            )
+            spec = build_subproblem(coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power)
             sol = solve(spec, tol=1e-8, initial=prec)
             assert sol.status == "optimal"
             assert sol.kkt_residual <= 1e-7
@@ -194,9 +174,7 @@ class TestSolve:
 
     def test_optimum_beats_random_feasible_points(self):
         cfg, samples, prec, coeffs, order = make_instance(seed=3)
-        spec = build_subproblem(
-            coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power, Strategy.DPCRS1, order
-        )
+        spec = build_subproblem(coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power)
         sol = solve(spec, tol=1e-8, initial=prec)
         rng = np.random.default_rng(7)
         found = 0
@@ -228,9 +206,7 @@ class TestSolve:
 
     def test_gap_trace_monotone(self):
         cfg, samples, prec, coeffs, order = make_instance(seed=8)
-        spec = build_subproblem(
-            coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power, Strategy.DPCRS1, order
-        )
+        spec = build_subproblem(coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power)
         sol = solve(spec, tol=1e-8, initial=prec)
         trace = np.array(sol.gap_trace)
         assert trace.size >= 2
@@ -238,9 +214,7 @@ class TestSolve:
 
     def test_phase_rotation_of_warm_start_same_objective(self):
         cfg, samples, prec, coeffs, order = make_instance(seed=9)
-        spec = build_subproblem(
-            coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power, Strategy.DPCRS1, order
-        )
+        spec = build_subproblem(coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power)
         sol_a = solve(spec, tol=1e-9, initial=prec)
         rotated = PrecoderSet(
             prec.common * np.exp(1j * 1.1),
@@ -254,10 +228,7 @@ class TestSolve:
         cfg, samples, prec, coeffs, order = make_instance(seed=4, k=1, n_t=1, strategy=Strategy.RS1)
         est_norm = np.linalg.norm(samples.estimate.matrix[:, 0]) ** 2
         impossible = np.log2(1.0 + cfg.transmit_power * est_norm) + 5.0
-        spec = build_subproblem(
-            coeffs, np.ones(1), np.zeros(1), impossible, cfg.transmit_power,
-            Strategy.RS1, None,
-        )
+        spec = build_subproblem(coeffs, np.ones(1), np.zeros(1), impossible, cfg.transmit_power)
         sol = solve(spec, tol=1e-8, initial=prec)
         assert sol.status == "infeasible"
         assert sol.infeasibility is not None and sol.infeasibility > 0
@@ -265,9 +236,7 @@ class TestSolve:
     def test_qos_thresholds_respected(self):
         cfg, samples, prec, coeffs, order = make_instance(seed=6)
         thresholds = np.array([0.5, 0.5])
-        spec = build_subproblem(
-            coeffs, np.ones(2), thresholds, 0.3, cfg.transmit_power, Strategy.DPCRS1, order
-        )
+        spec = build_subproblem(coeffs, np.ones(2), thresholds, 0.3, cfg.transmit_power)
         sol = solve(spec, tol=1e-8, initial=prec)
         assert sol.status == "optimal"
         # multicast allocation honors its threshold (nats -> bits conversion)
@@ -281,9 +250,7 @@ class TestSolve:
         for seed in range(3):
             for strategy in (Strategy.DPCRS1, Strategy.MULP):
                 cfg, samples, prec, coeffs, order = make_instance(seed=seed, strategy=strategy)
-                spec = build_subproblem(
-                    coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power, strategy, order
-                )
+                spec = build_subproblem(coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power)
                 for tol in (1e-6, 1e-8, 1e-15):
                     sol = solve(spec, tol=tol, initial=prec)
                     statuses.add(sol.status)
@@ -312,9 +279,7 @@ class TestSolve:
 class TestKktResidual:
     def test_optimum_vs_perturbed(self):
         cfg, samples, prec, coeffs, order = make_instance(seed=2)
-        spec = build_subproblem(
-            coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power, Strategy.DPCRS1, order
-        )
+        spec = build_subproblem(coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power)
         sol = solve(spec, tol=1e-8, initial=prec)
         at_opt = kkt_residual(spec, sol.precoders, sol.xhat, sol.multipliers)
         assert at_opt <= 1e-7
@@ -327,12 +292,8 @@ class TestKktResidual:
     def test_scale_consistency(self):
         cfg, samples, prec, coeffs, order = make_instance(seed=2)
         u = np.ones(2)
-        spec1 = build_subproblem(
-            coeffs, u, np.zeros(2), 0.0, cfg.transmit_power, Strategy.DPCRS1, order
-        )
-        spec2 = build_subproblem(
-            coeffs, 2 * u, np.zeros(2), 0.0, cfg.transmit_power, Strategy.DPCRS1, order
-        )
+        spec1 = build_subproblem(coeffs, u, np.zeros(2), 0.0, cfg.transmit_power)
+        spec2 = build_subproblem(coeffs, 2 * u, np.zeros(2), 0.0, cfg.transmit_power)
         lam = np.abs(np.random.default_rng(0).standard_normal(len(spec1.constraints)))
         xhat = -0.1 * np.ones(3)
         r1 = kkt_residual(spec1, prec, xhat, lam)
@@ -348,9 +309,7 @@ class TestScalarGridOracle:
         cfg, samples, prec, coeffs, order = make_instance(
             seed=14, k=1, n_t=1, m=1, strategy=Strategy.RS1
         )
-        spec = build_subproblem(
-            coeffs, np.ones(1), np.zeros(1), 0.0, cfg.transmit_power, Strategy.RS1, None
-        )
+        spec = build_subproblem(coeffs, np.ones(1), np.zeros(1), 0.0, cfg.transmit_power)
         sol = solve(spec, tol=1e-9, initial=prec)
         assert sol.status == "optimal"
 
