@@ -13,6 +13,7 @@ numbers across CSIT-quality sweeps.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,12 @@ class SystemConfig:
         if self.snr_db < 0 and self.csit_alpha > 0:
             # sigma_e^2 = sigma^2 * P_t^(-alpha) would exceed sigma^2.
             raise ValueError("snr_db < 0 requires csit_alpha = 0")
+        try:
+            power = 10.0 ** (self.snr_db / 10.0)
+        except OverflowError:
+            power = math.inf
+        if not math.isfinite(power):
+            raise ValueError("snr_db too large: the transmit power 10^(snr_db/10) overflows")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
         if len(self.channel_variances) != self.num_users:

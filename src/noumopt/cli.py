@@ -7,8 +7,8 @@ Subcommands:
                print the result
     validate   run the acceptance checks at smaller counts
 
-Exit codes: 0 success, 1 invalid config, 2 infeasible everywhere,
-3 internal numerical failure.
+Exit codes: 0 success, 1 invalid config, 2 infeasible everywhere (a sweep
+still writes its outputs first), 3 internal numerical failure.
 """
 from __future__ import annotations
 
@@ -122,7 +122,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("--threads must be >= 1")
     spec = _resolve_spec(args)
     run, stem = _SWEEPS[args.command]
-    records = run(spec, threads=args.threads)
+    infeasible = None
+    try:
+        records = run(spec, threads=args.threads)
+    except InfeasibleEverywhereError as exc:   # the sweep is still written, then exit 2
+        records, infeasible = exc.records, exc
     out = Path(args.out)
     csv_path = out / f"{stem}.csv"
     write_csv(records, csv_path)
@@ -130,6 +134,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.command == "region":
         write_region_hull(records, out / "region_hull.csv")
     print(f"wrote {len(records)} records to {csv_path}")
+    if infeasible is not None:
+        raise infeasible
     return EXIT_OK
 
 

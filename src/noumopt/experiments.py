@@ -38,7 +38,14 @@ class ConfigError(ValueError):
 
 
 class InfeasibleEverywhereError(RuntimeError):
-    """Every realization of some (strategy, grid point) was infeasible (exit 2)."""
+    """Every realization of some (strategy, grid point) was infeasible (exit 2).
+
+    ``records`` is the whole finalized sweep; those groups' esr and se are NaN.
+    """
+
+    def __init__(self, message: str, records: list[ResultRecord]):
+        super().__init__(message)
+        self.records = records
 
 
 @dataclass(frozen=True)
@@ -303,20 +310,27 @@ def _finalize(
 
     A group is one (strategy, grid point): ``num_realizations`` consecutive
     tasks, because tasks are strategy-major, then grid point, then realization.
+    A group with no feasible realization gets NaN; InfeasibleEverywhereError,
+    holding all the records, then names every such group.
     """
     records = []
+    empty = []
     n = spec.num_realizations
     for start in range(0, len(results), n):
         group = results[start:start + n]
         values = np.array([value for value, _ in group if not math.isnan(value)])
         if values.size == 0:
             first = group[0][1][0]
-            raise InfeasibleEverywhereError(
-                f"every realization infeasible for {first.strategy} at "
-                f"alpha={first.alpha!r}, weight_u2={first.weight_u2!r}"
-            )
-        esr, se = mean_and_se(values)
+            empty.append(f"{first.strategy} at alpha={first.alpha!r}, "
+                         f"weight_u2={first.weight_u2!r}")
+            esr = se = math.nan
+        else:
+            esr, se = mean_and_se(values)
         records.extend(replace(rec, esr=esr, se=se) for _, task in group for rec in task)
+    if empty:
+        raise InfeasibleEverywhereError(
+            "every realization infeasible for " + "; ".join(empty), records
+        )
     return records
 
 

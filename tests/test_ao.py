@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from noumopt import (
 )
 from noumopt import ao as ao_module
 from noumopt.channel import ChannelEstimate
+from noumopt.wmmse import LN2
 
 
 def quick_ao(max_iterations=60, eps=1e-4):
@@ -245,6 +247,57 @@ class TestOrders:
             optimize_strategy(cfg, Strategy.DPC, est, samples, np.ones(k))
         with pytest.raises(ValueError):
             optimize(cfg, Strategy.DPC, est, samples, np.ones(k), order=None)
+
+
+    def test_cap_checked_before_any_run(self, monkeypatch):
+        # At the cap every order gets one run; above it none does.
+        runs = []
+
+        def fake_optimize(cfg, strategy, est, samples, weights, mc, uc, order, ao):
+            runs.append(order)
+            return SimpleNamespace(status="converged", wasr=float(len(runs)), order=order)
+
+        monkeypatch.setattr(ao_module, "optimize", fake_optimize)
+        for k in (ao_module.ORDER_CAP, ao_module.ORDER_CAP + 1):
+            cfg = SystemConfig(k, 1, 10.0, 0.6, (1.0,) * k, 0)
+            est = draw_estimate(cfg, 0)
+            samples = draw_sample_set(cfg, est, 1, 0)
+            runs.clear()
+            if k > ao_module.ORDER_CAP:
+                with pytest.raises(ValueError, match="cap"):
+                    optimize_strategy(cfg, Strategy.DPCRS1, est, samples, np.ones(k))
+                assert runs == []
+            else:
+                best = optimize_strategy(cfg, Strategy.DPCRS1, est, samples, np.ones(k))
+                assert len(runs) == len(set(runs)) == 120
+                assert best.order == runs[-1]
+
+
+class TestPinCommon:
+    """When the subproblem drops the common stream and its constraints."""
+
+    @staticmethod
+    def _pin(strategy, multicast_threshold, common_rate_bits, common_bound):
+        nu = np.array([[0.0, common_rate_bits * LN2], [0.4, 0.7]])   # [stream, user]
+        coeffs = SimpleNamespace(nu=nu)
+        return ao_module._should_pin_common(strategy, multicast_threshold, coeffs, common_bound)
+
+    def test_no_common_unicast_pins_without_threshold(self):
+        for strategy in (Strategy.MULP, Strategy.DPC):
+            assert self._pin(strategy, 0.0, 3.0, 3.0)
+            assert self._pin(strategy, 0.0, 0.0, 0.0)
+
+    def test_threshold_never_pins(self):
+        for strategy in Strategy:
+            assert not self._pin(strategy, 1e-6, 0.0, 0.0)
+            assert not self._pin(strategy, 0.5, 3.0, 3.0)
+
+    def test_common_unicast_pins_only_when_rate_and_bound_vanish(self):
+        for strategy in (Strategy.RS1, Strategy.DPCRS1):
+            assert self._pin(strategy, 0.0, 0.0, 0.0)
+            assert self._pin(strategy, 0.0, 0.9e-9, 0.9e-9)
+            assert not self._pin(strategy, 0.0, 1.1e-9, 0.0)
+            assert not self._pin(strategy, 0.0, 0.0, 1.1e-9)
 
 
 class TestWaterFillingOracle:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -15,6 +16,11 @@ def write_config(tmp_path, content):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(content))
     return path
+
+
+def read_rows(path):
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
 
 
 GOOD = {
@@ -138,6 +144,11 @@ class TestExitCodes:
                      id="ao-eps-nan"),
         pytest.param("region", {"system": {**GOOD["system"], "snr_db": 10**400}}, [],
                      "config error", id="snr-beyond-float-range"),
+        # A finite snr_db whose transmit power 10^(snr_db/10) is not.
+        pytest.param("region", {"system": {**GOOD["system"], "snr_db": 4000}}, [],
+                     "config error", id="snr-power-overflow"),
+        pytest.param("solve", {"system": {**GOOD["system"], "snr_db": 4000}}, [],
+                     "config error", id="solve-snr-power-overflow"),
     ])
     def test_rejected_before_any_task(self, tmp_path, monkeypatch, capsys, command, update,
                                       flags, message):
@@ -162,12 +173,32 @@ class TestExitCodes:
     def test_missing_config_flag(self, tmp_path):
         assert main(["region", "--out", str(tmp_path)]) == 1
 
-    def test_infeasible_everywhere_exit_2(self, tmp_path):
+    def test_infeasible_everywhere_exit_2(self, tmp_path, capsys):
         bad = dict(GOOD)
         bad["multicast_threshold"] = 30.0
         bad["strategies"] = ["rs1"]
         cfg = write_config(tmp_path, bad)
         assert main(["region", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "infeasible: every realization infeasible" in capsys.readouterr().err
+        rows = read_rows(tmp_path / "o" / "region.csv")
+        assert len(rows) == 2 * 2   # realizations x users
+        assert all(row["status"] == "infeasible" and row["esr"] == "nan" for row in rows)
+        assert (tmp_path / "o" / "region_manifest.json").exists()
+        assert (tmp_path / "o" / "region_hull.csv").read_text() == "strategy,er_user1,er_user2\n"
+
+    def test_infeasible_group_keeps_the_other_groups(self, tmp_path):
+        # A QoS threshold no user reaches at alpha=0.9 only: that group is
+        # infeasible, the alpha=0.3 group's rows are written with their ESR.
+        config = {**GOOD, "strategies": ["mulp"], "alpha_grid": [0.3, 0.9],
+                  "threshold_schedule": [0.0, 30.0]}
+        del config["weight_grid"]
+        cfg = write_config(tmp_path, config)
+        assert main(["esr-alpha", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        rows = read_rows(tmp_path / "o" / "esr_alpha.csv")
+        by_alpha = {alpha: [r for r in rows if r["alpha"] == alpha] for alpha in ("0.3", "0.9")}
+        assert len(by_alpha["0.3"]) == len(by_alpha["0.9"]) == 2 * 2
+        assert all(r["status"] != "infeasible" and float(r["esr"]) > 0 for r in by_alpha["0.3"])
+        assert all(r["status"] == "infeasible" and r["esr"] == "nan" for r in by_alpha["0.9"])
 
 
 class TestSolveCommand:

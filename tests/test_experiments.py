@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import exp1
 
 from noumopt import Strategy, SystemConfig, draw_estimate, draw_sample_set, optimize_strategy
-from noumopt.ao import AoConfig
+from noumopt.ao import ORDER_CAP, AoConfig
 from noumopt.experiments import (
     DEFAULT_WEIGHT_GRID,
     ConfigError,
@@ -70,6 +70,15 @@ class TestConfigParsing:
             spec_from_dict(base_config(multicast_threshold=-0.5))
         with pytest.raises(ConfigError):
             spec_from_dict(base_config(alpha_grid=[0.1, 0.5], threshold_schedule=[0.1]))
+
+    def test_order_cap_applies_to_dpc_family_only(self):
+        k = ORDER_CAP + 1
+        system = {"num_users": k, "num_tx_antennas": 2, "snr_db": 20.0, "csit_alpha": 0.6,
+                  "channel_variances": [1.0] * k}
+        for strategy in ("dpc", "dpcrs1"):
+            with pytest.raises(ConfigError, match="order cap 5"):
+                spec_from_dict(base_config(system=system, strategies=["rs1", strategy]))
+        assert spec_from_dict(base_config(system=system)).system.num_users == k
 
     def test_default_weight_grid_has_nine_points(self):
         assert len(DEFAULT_WEIGHT_GRID) == 9
@@ -165,8 +174,11 @@ class TestErgodicRates:
             "multicast_threshold": 25.0,
             "ao": {"max_iterations": 30},
         })
-        with pytest.raises(InfeasibleEverywhereError):
+        with pytest.raises(InfeasibleEverywhereError) as excinfo:
             run_esr_alpha(spec)
+        records = excinfo.value.records
+        assert [r.realization for r in records] == [0, 1]
+        assert all(r.status == "infeasible" and math.isnan(r.esr) for r in records)
 
 
 class TestRegionRun:
