@@ -37,7 +37,7 @@ def update_equalizers_weights(
     own = np.arange(precoders.num_users)
     hp = np.stack([products[:, 0], products[own, own + 1]])   # own precoder's h^H p
     t = signal + noise
-    return hp.conj() / t, t / (t - signal)
+    return hp.conj() / t, t / noise     # w = 1/MMSE = T / (T - signal)
 
 
 @dataclass(frozen=True)
