@@ -250,27 +250,26 @@ class TestOrders:
 
 
     def test_cap_checked_before_any_run(self, monkeypatch):
-        # At the cap every order gets one run; above it none does.
+        # Above the cap no order gets a run; at the cap every order gets one.
         runs = []
 
         def fake_optimize(cfg, strategy, est, samples, weights, mc, uc, order, ao):
             runs.append(order)
             return SimpleNamespace(status="converged", wasr=float(len(runs)), order=order)
 
-        monkeypatch.setattr(ao_module, "optimize", fake_optimize)
-        for k in (ao_module.ORDER_CAP, ao_module.ORDER_CAP + 1):
+        def run(k):
             cfg = SystemConfig(k, 1, 10.0, 0.6, (1.0,) * k, 0)
             est = draw_estimate(cfg, 0)
             samples = draw_sample_set(cfg, est, 1, 0)
-            runs.clear()
-            if k > ao_module.ORDER_CAP:
-                with pytest.raises(ValueError, match="cap"):
-                    optimize_strategy(cfg, Strategy.DPCRS1, est, samples, np.ones(k))
-                assert runs == []
-            else:
-                best = optimize_strategy(cfg, Strategy.DPCRS1, est, samples, np.ones(k))
-                assert len(runs) == len(set(runs)) == 120
-                assert best.order == runs[-1]
+            return optimize_strategy(cfg, Strategy.DPCRS1, est, samples, np.ones(k))
+
+        monkeypatch.setattr(ao_module, "optimize", fake_optimize)
+        with pytest.raises(ValueError, match="cap"):
+            run(ao_module.ORDER_CAP + 1)
+        assert runs == []
+        best = run(ao_module.ORDER_CAP)
+        assert len(runs) == len(set(runs)) == 120
+        assert best.order == runs[-1]
 
 
 class TestPinCommon:
