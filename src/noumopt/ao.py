@@ -69,6 +69,9 @@ class AoResult:
         return len(self.trace) - 1
 
     def totals(self) -> np.ndarray:
+        """Per-user unicast totals; NaN for each user when infeasible (no allocation)."""
+        if self.alloc is None:
+            return np.full(self.report.private_per_user.shape, np.nan)
         return self.alloc.per_user + self.report.private_per_user
 
 

@@ -24,7 +24,7 @@ allocated to it).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,6 +49,7 @@ class SubproblemSpec:
     objective: Quadratics               # one row
     constraints: Quadratics
     constraint_labels: tuple[str, ...]
+    objective_scale: float              # largest user weight; solve divides the objective by it
 
     @property
     def dim(self) -> int:
@@ -217,6 +218,7 @@ def build_subproblem(
         objective=Quadratics(obj_A[None], obj_b[None], np.array([obj_c])),
         constraints=Quadratics(A, b, c),
         constraint_labels=labels,
+        objective_scale=float(weights.max()),
     )
 
 
@@ -289,6 +291,12 @@ def solve(
     hint; convexity makes it a speed knob only.  Falls back from the
     primal-dual method to the log-barrier method if the primal-dual stalls
     or runs out of iterations, and keeps the result with the smaller gap.
+
+    Both methods see the objective divided by ``spec.objective_scale`` and
+    ``tol`` divided by the same scale, so their multipliers and step count do
+    not grow with the user weights.  The multipliers, the gap trace and the
+    KKT parts are returned in original units.  Unit weights give a scale of
+    exactly 1.0, where the solver's numbers are returned as they are.
     """
     z0 = _interior_candidate(spec, initial)
     if spec.constraints.values(z0).max() >= -1e-12:
@@ -301,11 +309,19 @@ def solve(
                 multipliers=None, infeasibility=worst,
             )
 
-    res = solve_primal_dual(spec.objective, spec.constraints, z0, tol=tol)
+    scale = spec.objective_scale
+    objective = Quadratics(spec.objective.A / scale, spec.objective.b / scale,
+                           spec.objective.c / scale)
+    res = solve_primal_dual(objective, spec.constraints, z0, tol=tol / scale)
     if res.status in ("stalled", "max_iter"):
-        fallback = solve_barrier(spec.objective, spec.constraints, res.z, tol=tol)
+        fallback = solve_barrier(objective, spec.constraints, res.z, tol=tol / scale)
         if fallback.gap <= res.gap:
             res = fallback
+
+    if scale != 1.0:
+        lam = scale * res.lam
+        res = replace(res, lam=lam, kkt=kkt_parts(spec.objective, spec.constraints, res.z, lam),
+                      gap_trace=[scale * gap for gap in res.gap_trace])
 
     z, lam = res.z, res.lam
     stationarity, primal, complementarity = res.kkt

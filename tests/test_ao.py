@@ -105,6 +105,17 @@ class TestMonotonicityAndStatus:
                        multicast_threshold=absurd, ao=quick_ao())
         assert res.status == "infeasible"
 
+    def test_infeasible_totals_are_nan(self):
+        # The start misses the multicast threshold and no surrogate is
+        # feasible, so the result holds no allocation.
+        cfg = SystemConfig(1, 1, 10.0, 0.6, (1.0,), 3)
+        est = draw_estimate(cfg, 0)
+        samples = draw_sample_set(cfg, est, 4, 0)
+        res = optimize_strategy(cfg, Strategy.RS1, est, samples, np.ones(1), 20.0)
+        assert res.status == "infeasible" and res.alloc is None
+        totals = res.totals()
+        assert totals.shape == (1,) and np.isnan(totals).all()
+
     def test_rejected_step_is_reported(self, monkeypatch):
         monkeypatch.setattr(ao_module, "_candidate_state", lambda *args: None)
         cfg = SystemConfig(2, 2, 20.0, 0.6, (1.0, 1.0), 0)

@@ -275,6 +275,57 @@ class TestSolve:
         assert result.status == "converged" and result.order == (0, 1)
         assert statuses and statuses.count("max_iter") == 0
 
+    def test_region_m4000_tail_task_has_no_max_iter_exits(self, monkeypatch):
+        # region_desk system at M = 4000, weights (1, 10), DPCRS1: with the
+        # objective in raw units, 4 of its primal-dual calls ended at max_iter
+        # and each ran the barrier fallback.
+        statuses = []
+        barrier_calls = []
+
+        def counted(*args, **kwargs):
+            res = ipm.solve_primal_dual(*args, **kwargs)
+            statuses.append(res.status)
+            return res
+
+        def barrier(*args, **kwargs):
+            barrier_calls.append(1)
+            return ipm.solve_barrier(*args, **kwargs)
+
+        monkeypatch.setattr(subproblem_module, "solve_primal_dual", counted)
+        monkeypatch.setattr(subproblem_module, "solve_barrier", barrier)
+        cfg = SystemConfig(2, 4, 20.0, 0.6, (1.0, 1.0), 1)
+        est = draw_estimate(cfg, 0)
+        samples = draw_sample_set(cfg, est, 4000, 0)
+        result = optimize_strategy(
+            cfg, Strategy.DPCRS1, est, samples, np.array([1.0, 10.0]), 0.5
+        )
+        assert result.status == "converged"
+        assert statuses and statuses.count("max_iter") == 0
+        assert not barrier_calls
+
+
+class TestWeightInvariance:
+    @pytest.mark.parametrize("strategy", [Strategy.DPCRS1, Strategy.RS1])
+    @pytest.mark.parametrize("u", [(1.0, 1.0), (1.0, 3.0)])
+    def test_scaled_weights_scale_only_the_multipliers(self, strategy, u):
+        # The KKT residual is in objective units, so weights c * u are solved
+        # to c * tol: the same problem, whose multipliers scale by c.
+        cfg, samples, prec, coeffs, order = make_instance(seed=0, strategy=strategy)
+        sols = []
+        for c in (1.0, 10.0, 1000.0):
+            spec = build_subproblem(coeffs, c * np.array(u), np.zeros(2), 0.0,
+                                    cfg.transmit_power)
+            sol = solve(spec, tol=c * 1e-8, initial=prec)
+            assert sol.status == "optimal"
+            sols.append((c, spec, spec.pack(sol.precoders, sol.xhat)[: spec.slack_offset],
+                         sol.multipliers))
+        _, _, base_z, base_lam = sols[0]
+        for c, spec, z, lam in sols[1:]:
+            assert np.linalg.norm(z - base_z) <= 1e-9 * np.linalg.norm(base_z)
+            assert np.abs(lam - c * base_lam).max() <= 1e-9 * c * np.abs(base_lam).max()
+        for c, spec, _, _ in sols:
+            assert spec.objective_scale == c * max(u)
+
 
 class TestKktResidual:
     def test_optimum_vs_perturbed(self):
