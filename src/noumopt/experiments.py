@@ -402,18 +402,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(records: list[ResultRecord], path: str | Path) -> None:
+def _write_text(path: str | Path, text: str) -> None:
+    """Write text to path, creating its parent directory first."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
+def write_csv(records: list[ResultRecord], path: str | Path) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for rec in records:
         lines.append(",".join(_fmt(getattr(rec, col)) for col in CSV_COLUMNS))
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_manifest(spec: ExperimentSpec, mode: str, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     manifest = {
         "mode": mode,
         "config": spec_to_dict(spec),
@@ -421,7 +424,7 @@ def write_manifest(spec: ExperimentSpec, mode: str, path: str | Path) -> None:
         "artifact_version": __version__,
         "csv_columns": list(CSV_COLUMNS),
     }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)
@@ -482,4 +485,4 @@ def write_region_hull(records: list[ResultRecord], path: str | Path) -> None:
         points = [(p.er_user1, p.er_user2) for p in by_strategy[strategy]]
         for x, y in upper_right_hull(points):
             lines.append(f"{strategy},{x!r},{y!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")

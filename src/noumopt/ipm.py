@@ -6,28 +6,26 @@ f(z) = z'Az + b'z + c with A symmetric PSD.  The m constraints are one
 (affine rows carry A = 0); the objective is a one-row stack.  Inequality-only
 form; all problems in this package fit it.
 
-The main path is the standard primal-dual method: Newton steps on the
+The solver is the standard primal-dual method: Newton steps on the
 perturbed KKT residuals with a backtracking line search that keeps the
 iterates strictly feasible and the residual norm decreasing; it stops when
-every part of ``kkt_parts`` is <= tol.  A log-barrier Newton method is kept
-as a fallback for the rare case the primal-dual line search stalls.
-Strictly feasible starting points come from a phase-1 problem (minimize the
-worst constraint violation).
+every part of ``kkt_parts`` is <= tol.  Strictly feasible starting points
+come from a phase-1 problem (minimize the worst constraint violation), which
+a log-barrier Newton method solves until the point is strictly feasible.
 
 Both loops evaluate each stack once per line-search trial point
 (``Quadratics.evaluate``: values and Jacobian from one product A @ z) and
 carry the accepted trial's values, Jacobian and residuals into the next
 Newton step, so no point is evaluated twice.  A result's ``iterations``
-counts Newton steps as each solver's docstring defines them; for the
-primal-dual, a failed line search and the final check of the returned point
-are not steps.
+counts the primal-dual's Newton steps; a failed line search and the final
+check of the returned point are not steps.
 
 Everything is deterministic: no randomness, fixed iteration order.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -72,11 +70,10 @@ class Quadratics:
 class IpmResult:
     z: np.ndarray
     lam: np.ndarray
-    status: str                  # optimal | stalled | max_iter | early (phase-1 only)
+    status: str                  # optimal | stalled | max_iter
     iterations: int              # Newton steps taken
-    gap: float
     kkt: tuple[float, float, float]   # _kkt_parts at the returned (z, lam)
-    gap_trace: list[float] = field(default_factory=list)
+    gap_trace: list[float]
 
 
 def _kkt_parts(
@@ -193,31 +190,23 @@ def solve_primal_dual(
             break
         z, lam, fvals, J, r_dual = z_new, lam_new, f_new, J_new, rd
 
-    return IpmResult(z=z, lam=lam, status=status, iterations=len(gap_trace) - 1, gap=eta,
-                     kkt=parts, gap_trace=gap_trace)
+    return IpmResult(z=z, lam=lam, status=status, iterations=len(gap_trace) - 1, kkt=parts,
+                     gap_trace=gap_trace)
 
 
 def solve_barrier(
     objective: Quadratics,
     constraints: Quadratics,
     z0: np.ndarray,
+    early_stop: Callable[[np.ndarray], bool],
     tol: float = 1e-8,
     max_iter: int = 400,
-    early_stop: Callable[[np.ndarray], bool] | None = None,
-) -> IpmResult:
-    """Log-barrier Newton fallback (outer loop on t, inner centering).
+) -> np.ndarray:
+    """Log-barrier Newton method (outer loop on t, inner centering): phase-1's engine.
 
-    More robust than the primal-dual step when iterates hug a curved
-    constraint whose multiplier is still small (the barrier weights the
-    constraint curvature by 1/(-f), which grows near the wall); used both as
-    the stall fallback and as the phase-1 engine.
-
-    The status is ``optimal`` only when every centering reached its Newton
-    decrement test and m / t <= tol; ``stalled`` when m / t <= tol but some
-    centering broke off (line search failed, or its step cap was used), so
-    the multipliers 1 / (t * -f) need not be dual feasible; ``max_iter`` when
-    max_iter Newton steps ran out first.  ``iterations`` counts the Newton
-    systems solved, the one whose decrement ends a centering included.
+    Returns the first iterate at which ``early_stop`` holds, checked before
+    every Newton step; otherwise the last iterate once m / t <= tol or
+    max_iter Newton systems have been solved.
     """
     m = len(constraints)
     z = np.asarray(z0, dtype=float).copy()
@@ -229,20 +218,11 @@ def solve_barrier(
     hessians = constraints.hessians()
     h0 = objective.hessians()[0]
     t = 1.0
-    gap_trace: list[float] = []
     total_newton = 0
-    centered = True
-
-    def result(status: str) -> IpmResult:
-        lam = 1.0 / (t * np.maximum(-fvals, 1e-300))
-        return IpmResult(z=z, lam=lam, status=status, iterations=total_newton,
-                         gap=float(-fvals @ lam), kkt=_kkt_parts(g0[0] + J.T @ lam, fvals, lam),
-                         gap_trace=gap_trace)
-
     while m / t > tol and total_newton < max_iter:
         for _ in range(80):
-            if early_stop is not None and early_stop(z):
-                return result("early")
+            if early_stop(z):
+                return z
             total_newton += 1
             inv = 1.0 / (-fvals)
             grad = t * g0[0] + J.T @ inv
@@ -263,19 +243,12 @@ def solve_barrier(
                         break
                 s *= 0.5
             else:
-                centered = False
                 break
             z, fvals, J, f0, g0, log_sum = z_new, f_new, J_new, f0_new, g0_new, log_new
             if total_newton >= max_iter:
-                centered = False
                 break
-        else:
-            centered = False
-        gap_trace.append(m / t)
         t *= _BARRIER_MU
-    if m / t > tol:
-        return result("max_iter")
-    return result("optimal" if centered else "stalled")
+    return z
 
 
 def find_strictly_feasible(
@@ -310,10 +283,8 @@ def find_strictly_feasible(
     def strictly_ok(z_cur: np.ndarray) -> bool:
         return bool(constraints.values(z_cur[:n]).max() < -margin)
 
-    res = solve_barrier(
-        objective, extended, z_ext, tol=tol, max_iter=max_iter, early_stop=strictly_ok
-    )
-    candidate = res.z[:n]
+    candidate = solve_barrier(objective, extended, z_ext, strictly_ok, tol=tol,
+                              max_iter=max_iter)[:n]
     worst = float(np.max(constraints.values(candidate)))
     if worst < 0:
         return candidate, worst

@@ -102,9 +102,6 @@ class CommonRateAlloc:
     def per_user(self) -> np.ndarray:
         return self.rates[1:]
 
-    def total(self) -> float:
-        return float(np.sum(self.rates))
-
 
 @dataclass(frozen=True)
 class RateReport:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# solve_barrier is not called here (phase-1 calls it in ipm); benchmark/spans.py binds the name.
 from .ipm import Quadratics, find_strictly_feasible, kkt_parts, solve_barrier, solve_primal_dual
 from .strategies import CommonRateAlloc, PrecoderSet, interference_masks
 from .wmmse import COMMON, LN2, PRIVATE, QuadCoefficients
@@ -48,7 +49,6 @@ class SubproblemSpec:
     num_slack: int
     objective: Quadratics               # one row
     constraints: Quadratics
-    constraint_labels: tuple[str, ...]
     objective_scale: float              # largest user weight; solve divides the objective by it
 
     @property
@@ -70,12 +70,6 @@ class SubproblemSpec:
         lifted = z[: self.slack_offset].reshape(self.num_users + 1, 2, self.num_tx)
         columns = lifted[:, 0] + 1j * lifted[:, 1]                          # row j = p_j
         return PrecoderSet(columns[0], columns[1:].T, self.order), z[self.slack_offset :].copy()
-
-    def objective_value(self, precoders: PrecoderSet, xhat_nats: np.ndarray) -> float:
-        return float(self.objective.values(self.pack(precoders, xhat_nats))[0])
-
-    def constraint_values(self, precoders: PrecoderSet, xhat_nats: np.ndarray) -> np.ndarray:
-        return self.constraints.values(self.pack(precoders, xhat_nats))
 
 
 @dataclass(frozen=True)
@@ -155,33 +149,28 @@ def build_subproblem(
     dim = slack_off + num_slack
     common_rows = 0 if pin_common else k_users
     multicast_rows = 0 if pin_common else 1
-    labels = (
-        tuple(f"common_decodability_user{k}" for k in range(common_rows))
-        + tuple(f"qos_user{k}" for k in range(k_users))
-        + ("multicast_qos",) * multicast_rows
-        + ("power",)
-        + tuple(f"sign_x{j}" for j in range(num_slack))
-    )
     xi_rows = common_rows + k_users
+    power_row = xi_rows + multicast_rows
+    num_rows = power_row + 1 + num_slack
 
     # p^H M p = [x; y]' [[Re M, -Im M], [Im M, Re M]] [x; y] for p = x + iy.
     psi_c, psi_p, phi_p = np.split(np.block([[mats.real, -mats.imag], [mats.imag, mats.real]]), 3)
     channel, error = interference_masks(coeffs.strategy, coeffs.order, k_users)
     reach = np.eye(k_users) + channel               # own stream and streams seen in full
-    blocks = np.zeros((len(labels), cols, w, w))
+    blocks = np.zeros((num_rows, cols, w, w))
     blocks[:common_rows] = psi_c[:common_rows, None]
     blocks[common_rows:xi_rows, 1:] = (
         reach[:, :, None, None] * psi_p[:, None] + error[:, :, None, None] * phi_p[:, None]
     )
-    blocks[labels.index("power")] = np.eye(w)
-    A = np.zeros((len(labels), dim, dim))
+    blocks[power_row] = np.eye(w)
+    A = np.zeros((num_rows, dim, dim))
     for j in range(cols):
         A[:, j * w : (j + 1) * w, j * w : (j + 1) * w] = blocks[:, j]
 
     own_cols = [0] * common_rows + list(range(1, cols))
     # Re{f^H p} = [Re f; Im f]' [x; y]
     f = np.concatenate([coeffs.f[COMMON, :common_rows], coeffs.f[PRIVATE]])
-    precoder_b = np.zeros((len(labels), cols, w))
+    precoder_b = np.zeros((num_rows, cols, w))
     precoder_b[np.arange(xi_rows), own_cols] = -2.0 * np.concatenate([f.real, f.imag], axis=-1)
     slack_b = np.vstack([
         -np.ones((common_rows, num_slack)),     # every slack spends the common rate
@@ -190,7 +179,7 @@ def build_subproblem(
         np.zeros((1, num_slack)),               # power
         np.eye(num_slack),                      # signs
     ])
-    b = np.concatenate([precoder_b.reshape(len(labels), slack_off), slack_b], axis=1)
+    b = np.concatenate([precoder_b.reshape(num_rows, slack_off), slack_b], axis=1)
 
     xi_c = coeffs.t + coeffs.w - coeffs.nu
     c = np.concatenate([
@@ -217,7 +206,6 @@ def build_subproblem(
         num_slack=num_slack,
         objective=Quadratics(obj_A[None], obj_b[None], np.array([obj_c])),
         constraints=Quadratics(A, b, c),
-        constraint_labels=labels,
         objective_scale=float(weights.max()),
     )
 
@@ -287,13 +275,12 @@ def solve(
     """Solve the QCQP to a KKT residual <= tol (or detect infeasibility).
 
     The status is ``optimal`` exactly when ``kkt_residual <= tol`` at the
-    returned point, and ``max_iter`` otherwise.  ``initial`` is a warm-start
-    hint; convexity makes it a speed knob only.  Falls back from the
-    primal-dual method to the log-barrier method if the primal-dual stalls
-    or runs out of iterations, and keeps the result with the smaller gap.
+    returned point, and ``max_iter`` otherwise (the primal-dual stalled or ran
+    out of iterations).  ``initial`` is a warm-start hint; convexity makes it
+    a speed knob only.
 
-    Both methods see the objective divided by ``spec.objective_scale`` and
-    ``tol`` divided by the same scale, so their multipliers and step count do
+    The primal-dual sees the objective divided by ``spec.objective_scale`` and
+    ``tol`` divided by the same scale, so its multipliers and step count do
     not grow with the user weights.  The multipliers, the gap trace and the
     KKT parts are returned in original units.  Unit weights give a scale of
     exactly 1.0, where the solver's numbers are returned as they are.
@@ -313,10 +300,6 @@ def solve(
     objective = Quadratics(spec.objective.A / scale, spec.objective.b / scale,
                            spec.objective.c / scale)
     res = solve_primal_dual(objective, spec.constraints, z0, tol=tol / scale)
-    if res.status in ("stalled", "max_iter"):
-        fallback = solve_barrier(objective, spec.constraints, res.z, tol=tol / scale)
-        if fallback.gap <= res.gap:
-            res = fallback
 
     if scale != 1.0:
         lam = scale * res.lam

@@ -161,7 +161,7 @@ class TestMonotonicityAndStatus:
         )
         assert res.status == "converged"
         assert np.all(res.alloc.rates >= 0)
-        assert res.alloc.total() <= res.report.common_bound + 1e-7
+        assert res.alloc.rates.sum() <= res.report.common_bound + 1e-7
         assert res.alloc.multicast >= 0.3 - 1e-9
         assert np.all(res.totals() >= 0.2 - 1e-6)
         assert res.precoders.total_power() <= cfg.transmit_power + 1e-7
@@ -199,10 +199,9 @@ class TestNesting:
         sol = solve(spec_dpc, tol=1e-9, initial=prec)
         assert sol.status == "optimal"
         embedded = np.concatenate([sol.xhat, [0.0, 0.0]])
-        assert spec_rs.objective_value(sol.precoders, embedded) == pytest.approx(
-            sol.objective, abs=1e-8
-        )
-        assert np.all(spec_rs.constraint_values(sol.precoders, embedded) <= 1e-9)
+        z = spec_rs.pack(sol.precoders, embedded)
+        assert spec_rs.objective.values(z)[0] == pytest.approx(sol.objective, abs=1e-8)
+        assert np.all(spec_rs.constraints.values(z) <= 1e-9)
         sol_rs = solve(spec_rs, tol=1e-9, initial=prec)
         assert sol_rs.objective <= sol.objective + 1e-8
 

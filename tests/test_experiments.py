@@ -321,10 +321,11 @@ class TestHull:
         assert xs == sorted(xs)
 
     def test_write_region_hull(self, tmp_path):
+        # The writer creates a parent directory that does not exist yet.
         spec = spec_from_dict(base_config())
         records = run_region(spec)
-        write_region_hull(records, tmp_path / "hull.csv")
-        text = (tmp_path / "hull.csv").read_text().splitlines()
+        write_region_hull(records, tmp_path / "new" / "hull.csv")
+        text = (tmp_path / "new" / "hull.csv").read_text().splitlines()
         assert text[0] == "strategy,er_user1,er_user2"
         assert len(text) > 1
 

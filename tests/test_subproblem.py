@@ -91,11 +91,9 @@ class TestBuildStructure:
     def test_zero_thresholds_inactive_at_update_point(self):
         cfg, samples, prec, coeffs, order = make_instance()
         spec = build_subproblem(coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power)
-        values = spec.constraint_values(prec, np.zeros(3))
-        labels = spec.constraint_labels
-        for lbl, val in zip(labels, values):
-            if lbl.startswith("qos") or lbl == "multicast_qos":
-                assert val <= 1e-12
+        values = spec.constraints.values(spec.pack(prec, np.zeros(3)))
+        # Rows 2, 3 are the QoS rows and row 4 the multicast row.
+        assert np.all(values[2:5] <= 1e-12)
 
     def test_rejects_non_psd(self):
         cfg, samples, prec, coeffs, order = make_instance()
@@ -132,7 +130,7 @@ class TestBuildStructure:
             manual = sum(
                 u[k] * (xhat[1 + k] + xi_hat_nats(coeffs, p, PRIVATE, k)) for k in range(2)
             )
-            assert abs(spec.objective_value(p, xhat) - manual) <= 1e-10
+            assert abs(spec.objective.values(spec.pack(p, xhat))[0] - manual) <= 1e-10
 
 
     @pytest.mark.parametrize("strategy", list(Strategy))
@@ -153,10 +151,11 @@ class TestBuildStructure:
                     rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k)),
                     order,
                 )
-                values = spec.constraint_values(p, np.zeros(spec.num_slack))
-                for stream, label in ((COMMON, "common_decodability_user"), (PRIVATE, "qos_user")):
+                values = spec.constraints.values(spec.pack(p, np.zeros(spec.num_slack)))
+                # Rows 0..k-1 are the common-decodability rows, k..2k-1 the QoS ones.
+                for stream, first_row in ((COMMON, 0), (PRIVATE, k)):
                     for user in range(k):
-                        row = values[spec.constraint_labels.index(f"{label}{user}")]
+                        row = values[first_row + user]
                         xi = xi_hat_nats(coeffs, p, stream, user)
                         assert abs(row - (xi - 1.0)) <= 1e-12 * max(1.0, abs(xi))
 
@@ -201,7 +200,7 @@ class TestSolve:
             z = spec.pack(p, xhat)
             if np.all(spec.constraints.values(z) <= 0):
                 found += 1
-                assert sol.objective <= spec.objective_value(p, xhat) + 1e-9
+                assert sol.objective <= spec.objective.values(z)[0] + 1e-9
         assert found >= 100
 
     def test_gap_trace_monotone(self):
@@ -241,7 +240,7 @@ class TestSolve:
         assert sol.status == "optimal"
         # multicast allocation honors its threshold (nats -> bits conversion)
         assert sol.alloc.multicast >= 0.3 - 1e-7
-        values = spec.constraint_values(sol.precoders, sol.xhat)
+        values = spec.constraints.values(spec.pack(sol.precoders, sol.xhat))
         assert np.all(values <= 1e-7)
 
 
@@ -277,22 +276,15 @@ class TestSolve:
 
     def test_region_m4000_tail_task_has_no_max_iter_exits(self, monkeypatch):
         # region_desk system at M = 4000, weights (1, 10), DPCRS1: with the
-        # objective in raw units, 4 of its primal-dual calls ended at max_iter
-        # and each ran the barrier fallback.
+        # objective in raw units, 4 of its primal-dual calls ended at max_iter.
         statuses = []
-        barrier_calls = []
 
         def counted(*args, **kwargs):
             res = ipm.solve_primal_dual(*args, **kwargs)
             statuses.append(res.status)
             return res
 
-        def barrier(*args, **kwargs):
-            barrier_calls.append(1)
-            return ipm.solve_barrier(*args, **kwargs)
-
         monkeypatch.setattr(subproblem_module, "solve_primal_dual", counted)
-        monkeypatch.setattr(subproblem_module, "solve_barrier", barrier)
         cfg = SystemConfig(2, 4, 20.0, 0.6, (1.0, 1.0), 1)
         est = draw_estimate(cfg, 0)
         samples = draw_sample_set(cfg, est, 4000, 0)
@@ -301,7 +293,18 @@ class TestSolve:
         )
         assert result.status == "converged"
         assert statuses and statuses.count("max_iter") == 0
-        assert not barrier_calls
+
+    def test_max_iter_exit_returns_the_primal_dual_point(self):
+        # Weights (10, 10) meet the complementarity floor: the primal-dual ends
+        # max_iter with small KKT parts, and solve returns its point.
+        cfg, samples, prec, coeffs, order = make_instance(seed=5)
+        spec = build_subproblem(coeffs, np.array([10.0, 10.0]), np.zeros(2), 0.0,
+                                cfg.transmit_power)
+        sol = solve(spec, tol=1e-8, initial=prec)
+        assert sol.status == "max_iter"
+        assert sol.kkt_stationarity <= 1e-7
+        assert sol.kkt_primal <= 1e-7
+        assert sol.kkt_complementarity <= 1e-7
 
 
 class TestWeightInvariance:
