@@ -303,6 +303,7 @@ def _run_ao(
     best = None if alloc is None else start
     status = "max_iter"
     last_kkt = np.inf
+    hint = None     # the last feasible solve's strictly feasible start
 
     for _ in range(ao.max_iterations):
         g, w = update_equalizers_weights(strategy, samples, precoders)
@@ -312,10 +313,11 @@ def _run_ao(
             coeffs, weights, unicast_thresholds, multicast_threshold, cfg.transmit_power,
             pin_common=pin,
         )
-        sol: SubproblemSolution = solve(spec, initial=precoders)
+        sol: SubproblemSolution = solve(spec, initial=precoders, start=hint)
         if sol.status == "infeasible":
             status = "infeasible"
             break
+        hint = sol.start
         last_kkt = sol.kkt_residual
         previous = precoders
         step = _candidate_state(

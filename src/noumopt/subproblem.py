@@ -86,6 +86,7 @@ class SubproblemSolution:
     gap_trace: tuple[float, ...]
     multipliers: np.ndarray | None
     infeasibility: float | None = None  # worst phase-1 slack when infeasible
+    start: np.ndarray | None = None     # strictly feasible z the primal-dual started from
 
     @property
     def kkt_residual(self) -> float:
@@ -271,6 +272,7 @@ def solve(
     spec: SubproblemSpec,
     tol: float = 1e-8,
     initial: PrecoderSet | None = None,
+    start: np.ndarray | None = None,
 ) -> SubproblemSolution:
     """Solve the QCQP to a KKT residual <= tol (or detect infeasibility).
 
@@ -278,6 +280,13 @@ def solve(
     returned point, and ``max_iter`` otherwise (the primal-dual stalled or ran
     out of iterations).  ``initial`` is a warm-start hint; convexity makes it
     a speed knob only.
+
+    The primal-dual starts from the first strictly feasible point of: the
+    candidate built from ``initial``, its midpoint with ``start``, and
+    ``start`` itself (both tried only when ``start`` has length ``spec.dim``,
+    typically the previous solve's ``SubproblemSolution.start``).  Phase-1
+    runs only when none is strictly feasible, so an ``infeasible`` verdict
+    still comes from phase-1 alone.
 
     The primal-dual sees the objective divided by ``spec.objective_scale`` and
     ``tol`` divided by the same scale, so its multipliers and step count do
@@ -287,14 +296,19 @@ def solve(
     """
     z0 = _interior_candidate(spec, initial)
     if spec.constraints.values(z0).max() >= -1e-12:
-        z0, worst = find_strictly_feasible(spec.constraints, z0, margin=1e-12, tol=tol)
+        candidate, hinted = z0, ()
+        if start is not None and len(start) == spec.dim:
+            hinted = (0.5 * (start + candidate), start)
+        z0 = next((z for z in hinted if spec.constraints.values(z).max() < -1e-12), None)
         if z0 is None:
-            return SubproblemSolution(
-                precoders=None, xhat=None, alloc=None, objective=np.inf,
-                status="infeasible", iterations=0, kkt_stationarity=np.inf,
-                kkt_primal=np.inf, kkt_complementarity=np.inf, gap_trace=(),
-                multipliers=None, infeasibility=worst,
-            )
+            z0, worst = find_strictly_feasible(spec.constraints, candidate, margin=1e-12, tol=tol)
+            if z0 is None:
+                return SubproblemSolution(
+                    precoders=None, xhat=None, alloc=None, objective=np.inf,
+                    status="infeasible", iterations=0, kkt_stationarity=np.inf,
+                    kkt_primal=np.inf, kkt_complementarity=np.inf, gap_trace=(),
+                    multipliers=None, infeasibility=worst,
+                )
 
     scale = spec.objective_scale
     objective = Quadratics(spec.objective.A / scale, spec.objective.b / scale,
@@ -326,4 +340,5 @@ def solve(
         kkt_complementarity=complementarity,
         gap_trace=tuple(res.gap_trace),
         multipliers=lam,
+        start=z0,
     )

@@ -21,6 +21,7 @@ from noumopt import (
     update_equalizers_weights,
 )
 from noumopt import ao as ao_module
+from noumopt import subproblem as subproblem_module
 from noumopt.channel import ChannelEstimate
 from noumopt.wmmse import LN2
 
@@ -280,6 +281,20 @@ class TestOrders:
         best = run(ao_module.ORDER_CAP)
         assert len(runs) == len(set(runs)) == 120
         assert best.order == runs[-1]
+
+
+class TestStartHint:
+    def test_k3_qos_run_rarely_needs_phase_1(self, record_calls):
+        # esr-k3-orders system, DPC at order (2, 0, 1): with every solve started
+        # from the shrunk warm start, 66 of its surrogates ran phase-1.
+        phase1 = record_calls(subproblem_module, "find_strictly_feasible")
+        cfg = SystemConfig(3, 4, 20.0, 0.5, (1.0,) * 3, 1)
+        est = draw_estimate(cfg, 0)
+        samples = draw_sample_set(cfg, est, 100, 0)
+        result = optimize(cfg, Strategy.DPC, est, samples, np.ones(3), 0.5, np.full(3, 0.3),
+                          order=(2, 0, 1))
+        assert result.status == "converged"
+        assert len(phase1) <= 10
 
 
 class TestPinCommon:

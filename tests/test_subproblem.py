@@ -7,6 +7,7 @@ import pytest
 from noumopt import (
     COMMON,
     PRIVATE,
+    AoConfig,
     PrecoderSet,
     Strategy,
     SystemConfig,
@@ -15,10 +16,11 @@ from noumopt import (
     draw_estimate,
     draw_sample_set,
     kkt_residual,
+    optimize,
+    optimize_strategy,
     solve,
     update_equalizers_weights,
 )
-from noumopt import ipm, optimize_strategy
 from noumopt import subproblem as subproblem_module
 from noumopt.reference import xi_hat_nats
 from noumopt.wmmse import LN2
@@ -256,41 +258,29 @@ class TestSolve:
                     assert (sol.status == "optimal") == (sol.kkt_residual <= tol)
         assert statuses == {"optimal", "max_iter"}
 
-    def test_criterion_9_tail_task_has_no_max_iter_exits(self, monkeypatch):
+    def test_criterion_9_tail_task_has_no_max_iter_exits(self, record_calls):
         # Master seed 9, realization 0, alpha 0.1, DPCRS1: stopping the
         # primal-dual at tol / 2 made 36 of its calls here end at max_iter.
-        statuses = []
-
-        def counted(*args, **kwargs):
-            res = ipm.solve_primal_dual(*args, **kwargs)
-            statuses.append(res.status)
-            return res
-
-        monkeypatch.setattr(subproblem_module, "solve_primal_dual", counted)
+        results = record_calls(subproblem_module, "solve_primal_dual")
         cfg = SystemConfig(2, 2, 20.0, 0.1, (1.0, 1.0), 9)
         est = draw_estimate(cfg, 0)
         samples = draw_sample_set(cfg, est, 64, 0)
         result = optimize_strategy(cfg, Strategy.DPCRS1, est, samples, np.ones(2))
+        statuses = [res.status for res in results]
         assert result.status == "converged" and result.order == (0, 1)
         assert statuses and statuses.count("max_iter") == 0
 
-    def test_region_m4000_tail_task_has_no_max_iter_exits(self, monkeypatch):
+    def test_region_m4000_tail_task_has_no_max_iter_exits(self, record_calls):
         # region_desk system at M = 4000, weights (1, 10), DPCRS1: with the
         # objective in raw units, 4 of its primal-dual calls ended at max_iter.
-        statuses = []
-
-        def counted(*args, **kwargs):
-            res = ipm.solve_primal_dual(*args, **kwargs)
-            statuses.append(res.status)
-            return res
-
-        monkeypatch.setattr(subproblem_module, "solve_primal_dual", counted)
+        results = record_calls(subproblem_module, "solve_primal_dual")
         cfg = SystemConfig(2, 4, 20.0, 0.6, (1.0, 1.0), 1)
         est = draw_estimate(cfg, 0)
         samples = draw_sample_set(cfg, est, 4000, 0)
         result = optimize_strategy(
             cfg, Strategy.DPCRS1, est, samples, np.array([1.0, 10.0]), 0.5
         )
+        statuses = [res.status for res in results]
         assert result.status == "converged"
         assert statuses and statuses.count("max_iter") == 0
 
@@ -305,6 +295,90 @@ class TestSolve:
         assert sol.kkt_stationarity <= 1e-7
         assert sol.kkt_primal <= 1e-7
         assert sol.kkt_complementarity <= 1e-7
+
+
+def k3_orders_step(strategy, order, iterations):
+    """Specs of two consecutive AO steps on the esr-k3-orders system.
+
+    K=3, N_t=4, 20 dB, alpha 0.5, master seed 1, realization 0, M=100, unit
+    weights, multicast 0.5, QoS 0.3.  The first spec is built at the AO's
+    iterate after ``iterations`` iterations and solved without a hint; the
+    next one at that solution's precoders.  Returns
+    (spec, initial, sol, next_spec) with ``initial`` the first spec's warm start.
+    """
+    cfg = SystemConfig(3, 4, 20.0, 0.5, (1.0,) * 3, 1)
+    est = draw_estimate(cfg, 0)
+    samples = draw_sample_set(cfg, est, 100, 0)
+    weights, qos = np.ones(3), np.full(3, 0.3)
+
+    def spec_at(precoders):
+        g, w = update_equalizers_weights(strategy, samples, precoders)
+        coeffs = assemble_coefficients(strategy, samples, g, w, order)
+        return build_subproblem(coeffs, weights, qos, 0.5, cfg.transmit_power)
+
+    initial = optimize(cfg, strategy, est, samples, weights, 0.5, qos, order,
+                       AoConfig(max_iterations=iterations)).precoders
+    spec = spec_at(initial)
+    sol = solve(spec, initial=initial)
+    return spec, initial, sol, spec_at(sol.precoders)
+
+
+def assert_same_solution(a, b):
+    assert (a.status, a.iterations, a.objective) == (b.status, b.iterations, b.objective)
+    assert np.array_equal(a.precoders.common, b.precoders.common)
+    assert np.array_equal(a.precoders.private, b.precoders.private)
+    assert np.array_equal(a.xhat, b.xhat) and np.array_equal(a.multipliers, b.multipliers)
+    assert a.gap_trace == b.gap_trace and np.array_equal(a.start, b.start)
+
+
+class TestStartHint:
+    def test_previous_start_replaces_phase_1(self, record_calls):
+        # After 10 MULP iterations the shrunk warm start of the next surrogate
+        # leaves less common rate than the multicast threshold, so its
+        # candidate misses the common rows; the previous start's midpoint is inside.
+        _, _, sol, spec = k3_orders_step(Strategy.MULP, None, 10)
+        candidate = subproblem_module._interior_candidate(spec, sol.precoders)
+        assert spec.constraints.values(candidate).max() >= -1e-12
+        phase1 = record_calls(subproblem_module, "find_strictly_feasible")
+        cold = solve(spec, initial=sol.precoders)
+        assert len(phase1) == 1
+        warm = solve(spec, initial=sol.precoders, start=sol.start)
+        assert len(phase1) == 1
+        assert warm.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+        assert spec.constraints.values(warm.start).max() < -1e-12
+
+    def test_hint_is_unused_when_the_candidate_is_interior(self):
+        spec, initial, sol, _ = k3_orders_step(Strategy.DPCRS1, (2, 0, 1), 1)
+        candidate = subproblem_module._interior_candidate(spec, initial)
+        assert spec.constraints.values(candidate).max() < -1e-12
+        plain = solve(spec, initial=initial)
+        assert np.array_equal(plain.start, candidate)
+        rng = np.random.default_rng(3)
+        for hint in (sol.start, rng.standard_normal(spec.dim), np.zeros(spec.dim)):
+            assert_same_solution(solve(spec, initial=initial, start=hint), plain)
+
+    def test_hint_of_another_length_is_ignored(self, record_calls):
+        _, _, sol, spec = k3_orders_step(Strategy.MULP, None, 10)
+        phase1 = record_calls(subproblem_module, "find_strictly_feasible")
+        plain = solve(spec, initial=sol.precoders)
+        for hint in (sol.start[:-1], np.append(sol.start, 0.0)):
+            assert_same_solution(solve(spec, initial=sol.precoders, start=hint), plain)
+        assert len(phase1) == 3
+
+    def test_infeasible_verdict_survives_a_hint(self):
+        # test_infeasible_multicast_threshold's spec, hinted with the start of
+        # the same surrogate solved without a multicast threshold.
+        cfg, samples, prec, coeffs, order = make_instance(seed=4, k=1, n_t=1, strategy=Strategy.RS1)
+        est_norm = np.linalg.norm(samples.estimate.matrix[:, 0]) ** 2
+        impossible = np.log2(1.0 + cfg.transmit_power * est_norm) + 5.0
+        spec = build_subproblem(coeffs, np.ones(1), np.zeros(1), impossible, cfg.transmit_power)
+        open_spec = build_subproblem(coeffs, np.ones(1), np.zeros(1), 0.0, cfg.transmit_power)
+        hint = solve(open_spec, tol=1e-8, initial=prec).start
+        assert hint.shape == (spec.dim,)
+        sol = solve(spec, tol=1e-8, initial=prec, start=hint)
+        assert sol.status == "infeasible" and sol.start is None
+        assert sol.infeasibility is not None and sol.infeasibility > 0
 
 
 class TestWeightInvariance:
