@@ -60,13 +60,16 @@ class AoResult:
     report: RateReport
     trace: tuple[float, ...]
     status: str                      # converged | max_iter | infeasible | rejected
-    order: tuple[int, ...] | None
     wasr: float
     last_kkt_residual: float
 
     @property
     def iterations(self) -> int:
         return len(self.trace) - 1
+
+    @property
+    def order(self) -> tuple[int, ...] | None:
+        return self.precoders.order
 
     def totals(self) -> np.ndarray:
         """Per-user unicast totals; NaN for each user when infeasible (no allocation)."""
@@ -97,18 +100,22 @@ def initialize_precoders(
     estimate: ChannelEstimate,
     cfg: SystemConfig,
     order: tuple[int, ...] | None = None,
+    common_fraction: float | None = None,
 ) -> PrecoderSet:
     """Matched-filter private precoders plus a dominant-direction common one.
 
     The power split gives the common stream the fraction
     beta = min(0.5, P_t^(-min(alpha, 1)) * K/(K+1)): worse CSIT (smaller
-    alpha) pushes more power onto the common stream.  Zero estimate columns
-    fall back to deterministic unit vectors so the split stays exact.
+    alpha) pushes more power onto the common stream.  A given
+    ``common_fraction`` replaces beta (the rescue starts).  Zero estimate
+    columns fall back to deterministic unit vectors so the split stays exact.
     """
     h = estimate.matrix
     n_t, k_users = h.shape
     p_t = cfg.transmit_power
-    beta = min(0.5, p_t ** (-min(cfg.csit_alpha, 1.0)) * k_users / (k_users + 1))
+    beta = common_fraction
+    if beta is None:
+        beta = min(0.5, p_t ** (-min(cfg.csit_alpha, 1.0)) * k_users / (k_users + 1))
 
     private = matched_filters(h, (1.0 - beta) * p_t / k_users)
     if np.linalg.norm(h) > 1e-12:
@@ -138,30 +145,9 @@ def _should_pin_common(
 
 
 # Rescue starts for active multicast thresholds: increasing common-stream
-# power fractions tried when the first surrogate is infeasible.
+# power fractions tried when the first surrogate is infeasible (a surrogate
+# built at a weak common stream cannot certify a demanding threshold).
 _RESCUE_COMMON_FRACTIONS = (0.5, 0.9, 1.0 - 1e-6)
-
-
-def _common_boosted_initializer(
-    estimate: ChannelEstimate,
-    cfg: SystemConfig,
-    order: tuple[int, ...] | None,
-    common_fraction: float,
-) -> PrecoderSet:
-    """Rescue start: put ``common_fraction`` of the budget on the common stream.
-
-    The default initializer puts little power on the common stream when CSIT
-    is good; the surrogate built there cannot certify demanding multicast
-    thresholds (its reach is local), so the first subproblem can look
-    infeasible even though the true problem is feasible.
-    """
-    base = initialize_precoders(estimate, cfg, order)
-    p_t = cfg.transmit_power
-    common_power = np.sum(np.abs(base.common) ** 2)
-    private_power = np.sum(np.abs(base.private) ** 2)
-    common = base.common * np.sqrt(common_fraction * p_t / common_power)
-    private = base.private * np.sqrt((1.0 - common_fraction) * p_t / private_power)
-    return PrecoderSet(common, private, order)
 
 
 def optimize(
@@ -180,9 +166,10 @@ def optimize(
 
     Returns the best iterate visited.  The stopping rule compares true
     weighted average sum rates of consecutive iterates against
-    ``ao.convergence_eps``.  If the very first surrogate is infeasible under
-    an active multicast threshold, the run restarts from progressively more
-    common-stream-heavy initializers before reporting infeasibility.
+    ``ao.convergence_eps``.  The run starts from ``initial`` (default: the
+    default split of ``initialize_precoders``).  If its very first surrogate
+    is infeasible under an active multicast threshold, it restarts from each
+    ``_RESCUE_COMMON_FRACTIONS`` split in turn before reporting infeasibility.
     """
     weights = np.asarray(weights, dtype=float)
     k_users = cfg.num_users
@@ -191,24 +178,18 @@ def optimize(
     unicast_thresholds = np.asarray(unicast_thresholds, dtype=float)
     order = None if order is None else tuple(order)
 
-    if initial is None:
-        precoders = initialize_precoders(estimate, cfg, order)
-    else:
-        precoders = replace(initial, order=order)
-
-    result = _run_ao(
-        cfg, strategy, samples, weights, multicast_threshold,
-        unicast_thresholds, ao, precoders,
-    )
-    if multicast_threshold > 0:
-        for fraction in _RESCUE_COMMON_FRACTIONS:
-            if not (result.status == "infeasible" and result.iterations == 0):
-                break
-            boosted = _common_boosted_initializer(estimate, cfg, order, fraction)
-            result = _run_ao(
-                cfg, strategy, samples, weights, multicast_threshold,
-                unicast_thresholds, ao, boosted,
-            )
+    fractions = (None,) + (_RESCUE_COMMON_FRACTIONS if multicast_threshold > 0 else ())
+    for fraction in fractions:
+        if fraction is None and initial is not None:
+            precoders = replace(initial, order=order)
+        else:
+            precoders = initialize_precoders(estimate, cfg, order, fraction)
+        result = _run_ao(
+            cfg, strategy, samples, weights, multicast_threshold,
+            unicast_thresholds, ao, precoders,
+        )
+        if not (result.status == "infeasible" and result.iterations == 0):
+            break
     return result
 
 
@@ -358,7 +339,6 @@ def _run_ao(
         report=best[3],
         trace=tuple(trace),
         status=status,
-        order=order,
         wasr=best[0],
         last_kkt_residual=last_kkt,
     )

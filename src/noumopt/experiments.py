@@ -291,9 +291,11 @@ def _run_task(task: _Task) -> tuple[float, list[ResultRecord]]:
 
 
 def _execute(tasks: list[_Task], threads: int) -> list[tuple[float, list[ResultRecord]]]:
-    if threads <= 1:
+    # The executor forks all max_workers processes at its first submit.
+    workers = min(threads, len(tasks))
+    if workers <= 1:
         return [_run_task(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_task, tasks, chunksize=1))
 
 

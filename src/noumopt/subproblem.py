@@ -24,16 +24,18 @@ allocated to it).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 # solve_barrier is not called here (phase-1 calls it in ipm); benchmark/spans.py binds the name.
 from .ipm import Quadratics, find_strictly_feasible, kkt_parts, solve_barrier, solve_primal_dual
-from .strategies import CommonRateAlloc, PrecoderSet, interference_masks
+from .strategies import PrecoderSet, interference_masks
 from .wmmse import COMMON, LN2, PRIVATE, QuadCoefficients
 
 _PSD_TOL = -1e-9
+# Share of the power budget that the interior candidate's precoders stay below.
+_CANDIDATE_POWER_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -74,23 +76,19 @@ class SubproblemSpec:
 
 @dataclass(frozen=True)
 class SubproblemSolution:
-    precoders: PrecoderSet | None
-    xhat: np.ndarray | None             # nats
-    alloc: CommonRateAlloc | None       # bit/s/Hz, length K+1
-    objective: float
-    status: str                         # optimal | infeasible | max_iter
-    iterations: int
-    kkt_stationarity: float
-    kkt_primal: float
-    kkt_complementarity: float
-    gap_trace: tuple[float, ...]
-    multipliers: np.ndarray | None
+    status: str                         # optimal | max_iter | infeasible (the defaults)
+    precoders: PrecoderSet | None = None
+    xhat: np.ndarray | None = None      # nats
+    objective: float = np.inf
+    iterations: int = 0
+    kkt: tuple[float, float, float] = (np.inf, np.inf, np.inf)  # kkt_parts, original units
+    multipliers: np.ndarray | None = None
     infeasibility: float | None = None  # worst phase-1 slack when infeasible
     start: np.ndarray | None = None     # strictly feasible z the primal-dual started from
 
     @property
     def kkt_residual(self) -> float:
-        return max(self.kkt_stationarity, self.kkt_primal, self.kkt_complementarity)
+        return max(self.kkt)
 
 
 def _validate_psd(mats: np.ndarray) -> None:
@@ -214,7 +212,6 @@ def build_subproblem(
 def _interior_candidate(
     spec: SubproblemSpec,
     precoders: PrecoderSet | None,
-    margin: float = 1e-3,
 ) -> np.ndarray:
     """Heuristic strictly-feasible candidate: shrink the precoders inside the
     power ball, then place the slacks halfway into their feasible interval."""
@@ -223,7 +220,7 @@ def _interior_candidate(
     if precoders is None:
         precoders = PrecoderSet(np.zeros(n, complex), np.zeros((n, k), complex), spec.order)
     power = precoders.total_power()
-    limit = spec.power_budget * (1.0 - margin)
+    limit = spec.power_budget * (1.0 - _CANDIDATE_POWER_MARGIN)
     if power > limit:
         scale = np.sqrt(limit / power)
         precoders = PrecoderSet(precoders.common * scale, precoders.private * scale, spec.order)
@@ -290,55 +287,35 @@ def solve(
 
     The primal-dual sees the objective divided by ``spec.objective_scale`` and
     ``tol`` divided by the same scale, so its multipliers and step count do
-    not grow with the user weights.  The multipliers, the gap trace and the
-    KKT parts are returned in original units.  Unit weights give a scale of
-    exactly 1.0, where the solver's numbers are returned as they are.
+    not grow with the user weights.  Unless the scale is exactly 1.0 (unit
+    weights), the multipliers are scaled back and the KKT parts recomputed
+    in original units.
     """
-    z0 = _interior_candidate(spec, initial)
-    if spec.constraints.values(z0).max() >= -1e-12:
-        candidate, hinted = z0, ()
+    candidate = _interior_candidate(spec, initial)
+
+    def starts():
+        yield candidate
         if start is not None and len(start) == spec.dim:
-            hinted = (0.5 * (start + candidate), start)
-        z0 = next((z for z in hinted if spec.constraints.values(z).max() < -1e-12), None)
+            yield 0.5 * (start + candidate)
+            yield start
+
+    z0 = next((z for z in starts() if spec.constraints.values(z).max() < -1e-12), None)
+    if z0 is None:
+        z0, worst = find_strictly_feasible(spec.constraints, candidate, margin=1e-12, tol=tol)
         if z0 is None:
-            z0, worst = find_strictly_feasible(spec.constraints, candidate, margin=1e-12, tol=tol)
-            if z0 is None:
-                return SubproblemSolution(
-                    precoders=None, xhat=None, alloc=None, objective=np.inf,
-                    status="infeasible", iterations=0, kkt_stationarity=np.inf,
-                    kkt_primal=np.inf, kkt_complementarity=np.inf, gap_trace=(),
-                    multipliers=None, infeasibility=worst,
-                )
+            return SubproblemSolution("infeasible", infeasibility=worst)
 
     scale = spec.objective_scale
     objective = Quadratics(spec.objective.A / scale, spec.objective.b / scale,
                            spec.objective.c / scale)
     res = solve_primal_dual(objective, spec.constraints, z0, tol=tol / scale)
-
+    lam, kkt = res.lam, res.kkt
     if scale != 1.0:
         lam = scale * res.lam
-        res = replace(res, lam=lam, kkt=kkt_parts(spec.objective, spec.constraints, res.z, lam),
-                      gap_trace=[scale * gap for gap in res.gap_trace])
-
-    z, lam = res.z, res.lam
-    stationarity, primal, complementarity = res.kkt
-    precoders, xhat = spec.unpack(z)
-
-    chat_bits = np.zeros(spec.num_users + 1)
-    chat_bits[: spec.num_slack] = -xhat / LN2           # [X_0] or [X_0, ..., X_K]
-    chat_bits[chat_bits < 1e-9] = 0.0
-    status = "optimal" if max(stationarity, primal, complementarity) <= tol else "max_iter"
+        kkt = kkt_parts(spec.objective, spec.constraints, res.z, lam)
+    precoders, xhat = spec.unpack(res.z)
     return SubproblemSolution(
-        precoders=precoders,
-        xhat=xhat,
-        alloc=CommonRateAlloc(chat_bits),
-        objective=float(spec.objective.values(z)[0]),
-        status=status,
-        iterations=res.iterations,
-        kkt_stationarity=stationarity,
-        kkt_primal=primal,
-        kkt_complementarity=complementarity,
-        gap_trace=tuple(res.gap_trace),
-        multipliers=lam,
-        start=z0,
+        status="optimal" if max(kkt) <= tol else "max_iter",
+        precoders=precoders, xhat=xhat, objective=float(spec.objective.values(res.z)[0]),
+        iterations=res.iterations, kkt=kkt, multipliers=lam, start=z0,
     )

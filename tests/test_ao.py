@@ -62,6 +62,64 @@ class TestInitializer:
         assert prec.total_power() == pytest.approx(cfg.transmit_power, rel=1e-12)
         assert np.all(np.isfinite(prec.private.view(float)))
 
+    @pytest.mark.parametrize("fraction", [0.5, 0.9, 1.0 - 1e-6])
+    @pytest.mark.parametrize("alpha", [0.6, 0.0])   # alpha = 0 -> zero estimate
+    def test_common_fraction_sets_the_split(self, fraction, alpha):
+        cfg = SystemConfig(2, 4, 20.0, alpha, (1.0, 1.0), 1)
+        est = draw_estimate(cfg, 0)
+        prec = initialize_precoders(est, cfg, (0, 1), common_fraction=fraction)
+        p_t = cfg.transmit_power
+        common = float(np.sum(np.abs(prec.common) ** 2))
+        assert common == pytest.approx(fraction * p_t, rel=1e-12)
+        assert prec.total_power() == pytest.approx(p_t, rel=1e-12)
+
+
+class TestRescueStarts:
+    # region_desk system (K=2, N_t=4, 20 dB, alpha 0.6, master seed 1),
+    # realization 0, M=100, unit weights, DPC at order (0, 1).  The default
+    # start's first surrogate cannot certify these multicast thresholds.
+    @staticmethod
+    def _system():
+        cfg = SystemConfig(2, 4, 20.0, 0.6, (1.0, 1.0), 1)
+        est = draw_estimate(cfg, 0)
+        return cfg, est, draw_sample_set(cfg, est, 100, 0)
+
+    @pytest.mark.parametrize("threshold, failed, value", [
+        (0.5, 1, 10.4406),      # the 0.5 rung
+        (2.0, 2, 9.5670),       # the 0.9 rung
+        (5.0, 3, 6.4924),       # the 1 - 1e-6 rung
+    ])
+    def test_ladder_stops_at_the_first_run_past_iteration_0(
+        self, record_calls, threshold, failed, value
+    ):
+        runs = record_calls(ao_module, "_run_ao")
+        cfg, est, samples = self._system()
+        res = optimize(cfg, Strategy.DPC, est, samples, np.ones(2), threshold, order=(0, 1))
+        assert [r.status for r in runs] == ["infeasible"] * failed + ["converged"]
+        assert all(r.iterations == 0 for r in runs[:-1])
+        assert res is runs[-1] and res.order == (0, 1)
+        assert res.alloc.multicast >= threshold - 1e-12
+        assert res.wasr == pytest.approx(value, abs=1e-4)
+
+    def test_initial_replaces_only_the_default_start(self, monkeypatch):
+        starts = []
+        original = ao_module._run_ao
+
+        def recorded(*args):
+            starts.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(ao_module, "_run_ao", recorded)
+        cfg, est, samples = self._system()
+        initial = initialize_precoders(est, cfg)
+        optimize(cfg, Strategy.DPC, est, samples, np.ones(2), 2.0, order=(0, 1),
+                 initial=initial)
+        assert len(starts) == 3 and all(p.order == (0, 1) for p in starts)
+        assert np.array_equal(starts[0].common, initial.common)
+        rung = initialize_precoders(est, cfg, (0, 1), common_fraction=0.5)
+        assert np.array_equal(starts[1].common, rung.common)
+        assert np.array_equal(starts[1].private, rung.private)
+
 
 class TestSingleUserOptimality:
     def test_worked_example(self):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -190,6 +191,32 @@ class TestRegionRun:
         write_csv(records_a, tmp_path / "a.csv")
         write_csv(records_b, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("realizations, pools", [(2, [2]), (1, [])])
+    def test_workers_capped_at_the_task_count(self, monkeypatch, realizations, pools):
+        # The executor forks all max_workers processes at its first submit.
+        # The fake records max_workers and maps in-process.
+        created = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        spec = spec_from_dict(base_config(
+            strategies=["mulp"], num_realizations=realizations, weight_grid=[1.0]))
+        records = run_region(spec, threads=64)
+        assert created == pools
+        assert len(records) == realizations * 2
 
     def test_region_requires_two_users(self):
         spec = spec_from_dict({
