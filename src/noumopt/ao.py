@@ -14,6 +14,7 @@ enumeration (factorial in the number of users, capped at ``ORDER_CAP`` users).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -202,65 +203,90 @@ _EXTRAPOLATION_FACTORS = (1.5, 2.0, 3.0, 5.0, 8.0)
 
 def _greedy_alloc(
     strategy: Strategy,
-    report: RateReport,
+    reports: Sequence[RateReport],
     weights: np.ndarray,
     multicast_threshold: float,
     unicast_thresholds: np.ndarray,
-) -> CommonRateAlloc | None:
-    """WASR-maximal allocation of the true common budget at fixed precoders.
+) -> tuple[np.ndarray, np.ndarray]:
+    """WASR-maximal allocation of the true common budget at fixed precoders, per report.
 
     The multicast part takes exactly its threshold (the full budget for the
     strategies with no common unicast parts), QoS shortfalls claim their
     minima, and the surplus goes to the maximum-weight users (split evenly
-    on ties).  Returns None when the budget cannot cover the requirements or
-    a user's total rate misses its QoS threshold.
+    on ties).  Returns the (B, K+1) allocations [C_0, C_1, ..., C_K], one
+    row per report, and a (B,) mask that is False where the budget cannot
+    cover the requirements or a user's total rate misses its QoS threshold.
     The subproblem's own allocation is always feasible for this little LP,
     so the greedy choice never loses WASR; re-allocating against the true
     sampled bound (the surrogate bound can only lag it) is what lets the
-    common stream's rate be harvested at every iterate.
+    common stream's rate be harvested at every iterate.  The reports are
+    allocated along one leading candidate axis, each row with the same
+    arithmetic as alone.
     """
-    bound = report.common_bound
-    k = report.num_users
-    if bound < multicast_threshold - 1e-12:
-        return None
-    rates = np.zeros(k + 1)
+    private = np.array([report.private_per_user for report in reports])    # (B, K)
+    bound = np.array([report.common_per_user for report in reports]).min(axis=-1)
+    feasible = bound >= multicast_threshold - 1e-12
+    rates = np.zeros((len(reports), private.shape[1] + 1))
     if not strategy.has_common_unicast:
-        rates[0] = bound
+        rates[:, 0] = bound
     else:
-        rates[0] = multicast_threshold
-        lower = np.maximum(0.0, unicast_thresholds - report.private_per_user)
-        surplus = bound - rates[0] - float(np.sum(lower))
-        if surplus < -1e-12:
-            return None
-        rates[1:] = lower
+        rates[:, 0] = multicast_threshold
+        lower = np.maximum(0.0, unicast_thresholds - private)
+        surplus = bound - rates[:, 0] - lower.sum(axis=-1)
+        feasible &= surplus >= -1e-12
+        rates[:, 1:] = lower
         winners = np.flatnonzero(weights >= np.max(weights) - 1e-12)
-        rates[1 + winners] += max(surplus, 0.0) / winners.size
-    alloc = CommonRateAlloc(rates)
-    if np.any(alloc.per_user + report.private_per_user < unicast_thresholds - 1e-9):
-        return None
-    return alloc
+        rates[:, 1 + winners] += np.maximum(surplus, 0.0)[:, None] / winners.size
+    feasible &= ~np.any(rates[:, 1:] + private < unicast_thresholds - 1e-9, axis=-1)
+    return rates, feasible
 
 
 def _candidate_state(
     strategy: Strategy,
     samples: SampleSet,
-    precoders: PrecoderSet,
+    previous: PrecoderSet,
+    step: PrecoderSet,
     weights: np.ndarray,
     multicast_threshold: float,
     unicast_thresholds: np.ndarray,
     p_t: float,
 ):
-    """Evaluate a candidate iterate; None when it violates the rate constraints."""
-    power = precoders.total_power()
-    if power > p_t:
-        scale = np.sqrt(p_t / power)
-        precoders = PrecoderSet(precoders.common * scale, precoders.private * scale,
-                                precoders.order)
-    report = sampled_average_rates(strategy, samples, precoders)
-    alloc = _greedy_alloc(strategy, report, weights, multicast_threshold, unicast_thresholds)
-    if alloc is None:
+    """Score a subproblem step and its extrapolations from ``previous`` as one batch.
+
+    The candidates are the step itself and ``previous + gamma (step -
+    previous)`` for each ``_EXTRAPOLATION_FACTORS`` gamma, each scaled onto
+    the power budget when over it.  Returns (wasr, precoders, alloc, report)
+    of the first strict WASR maximum among those that meet the rate
+    constraints, or None when the step itself misses them.
+    """
+    probes = [
+        PrecoderSet(
+            previous.common + gamma * (step.common - previous.common),
+            previous.private + gamma * (step.private - previous.private),
+            step.order,
+        )
+        for gamma in _EXTRAPOLATION_FACTORS
+    ]
+    candidates = []
+    for precoders in [step] + probes:
+        power = precoders.total_power()
+        if power > p_t:
+            scale = np.sqrt(p_t / power)
+            precoders = PrecoderSet(precoders.common * scale, precoders.private * scale,
+                                    precoders.order)
+        candidates.append(precoders)
+    reports = sampled_average_rates(strategy, samples, candidates)
+    rates, feasible = _greedy_alloc(
+        strategy, reports, weights, multicast_threshold, unicast_thresholds
+    )
+    if not feasible[0]:
         return None
-    return wasr(weights, alloc.per_user + report.private_per_user), precoders, alloc, report
+    values = {
+        b: wasr(weights, rates[b, 1:] + reports[b].private_per_user)
+        for b in np.flatnonzero(feasible)
+    }
+    best = max(values, key=values.get)          # max keeps the first of equal values
+    return values[best], candidates[best], CommonRateAlloc(rates[best]), reports[best]
 
 
 def _run_ao(
@@ -274,8 +300,11 @@ def _run_ao(
     precoders: PrecoderSet,
 ) -> AoResult:
     order = precoders.order
-    report = sampled_average_rates(strategy, samples, precoders)
-    alloc = _greedy_alloc(strategy, report, weights, multicast_threshold, unicast_thresholds)
+    (report,) = sampled_average_rates(strategy, samples, [precoders])
+    rates, feasible = _greedy_alloc(
+        strategy, [report], weights, multicast_threshold, unicast_thresholds
+    )
+    alloc = CommonRateAlloc(rates[0]) if feasible[0] else None
     # A start that misses the rate constraints has the WASR of an infeasible
     # point, -inf; only an iterate that meets them may be returned.
     current = -np.inf if alloc is None else wasr(weights, alloc.per_user + report.private_per_user)
@@ -300,9 +329,8 @@ def _run_ao(
             break
         hint = sol.start
         last_kkt = sol.kkt_residual
-        previous = precoders
         step = _candidate_state(
-            strategy, samples, sol.precoders, weights,
+            strategy, samples, precoders, sol.precoders, weights,
             multicast_threshold, unicast_thresholds, cfg.transmit_power,
         )
         if step is None:
@@ -310,18 +338,6 @@ def _run_ao(
             # more than the clamps can absorb; keep the best iterate.
             status = "rejected"
             break
-        for gamma in _EXTRAPOLATION_FACTORS:
-            scaled = PrecoderSet(
-                previous.common + gamma * (sol.precoders.common - previous.common),
-                previous.private + gamma * (sol.precoders.private - previous.private),
-                order,
-            )
-            candidate = _candidate_state(
-                strategy, samples, scaled, weights,
-                multicast_threshold, unicast_thresholds, cfg.transmit_power,
-            )
-            if candidate is not None and candidate[0] > step[0]:
-                step = candidate
         current, precoders, alloc, report = step
         trace.append(current)
         if best is None or current > best[0]:

@@ -234,7 +234,7 @@ def matched_filter_esr(
             np.zeros(cfg.num_tx_antennas, dtype=complex),
             matched_filters(estimate.matrix, cfg.transmit_power / k),
         )
-        report = sampled_average_rates(Strategy.MULP, samples, precoders)
+        (report,) = sampled_average_rates(Strategy.MULP, samples, [precoders])
         values.append(wasr(np.ones(k), report.private_per_user))
     return mean_and_se(np.array(values))
 

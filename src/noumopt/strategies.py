@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,25 +112,40 @@ class RateReport:
     private_per_user: np.ndarray  # (K,)
 
     @property
-    def num_users(self) -> int:
-        return self.common_per_user.shape[0]
-
-    @property
     def common_bound(self) -> float:
         """Largest common-stream rate decodable by every user."""
         return float(np.min(self.common_per_user))
 
 
-def _stream_products(samples: SampleSet, precoders: PrecoderSet) -> np.ndarray:
-    """h_k^H p_j per (user, column, sample) -> (K, K+1, M), sample axis last.
+# Most complex stream products one stacked rate evaluation forms, 2**14
+# (256 KiB): a chunk of candidates then stays within a per-core L2 cache, so
+# a large sample count is scored one candidate per kernel call.
+_STACK_PRODUCTS = 2 ** 14
 
-    Column 0 is the common stream, column 1 + j user j's private stream.  One
-    batched product on ``realizations_h``, so row [k, c] holds all M samples
-    contiguously.  Every sampled rate, T and weight reads these products; none
-    forms its own.
+
+def _row_products(rows: np.ndarray, rows_h: np.ndarray) -> np.ndarray:
+    """h^H p for every (candidate, user, row, sample) -> (B, K, R, M), sample axis last.
+
+    ``rows`` is (B, R, N_t) and ``rows_h`` a (K, N_t, M) conjugated sample
+    layout of the ``SampleSet``.  The B candidates' rows form one 2-D factor,
+    so each user's products come from one product whatever B is, and row
+    [b, k, r] holds all M samples contiguously.  With M >= 2 this is a
+    matrix product, which rounds each entry the same for any B; with M = 1
+    BLAS's matrix-vector kernel rounds a row by its position in the stack.
     """
-    columns = np.column_stack([precoders.common, precoders.private])
-    return columns.T @ samples.realizations_h
+    b, r, n_t = rows.shape
+    products = rows.reshape(b * r, n_t) @ rows_h
+    return products.reshape(products.shape[0], b, r, products.shape[-1]).swapaxes(0, 1)
+
+
+def _stacked_columns(precoder_sets: Sequence[PrecoderSet]) -> np.ndarray:
+    """The sets' precoders as (B, K+1, N_t) rows: row 0 the common one, 1 + j user j's."""
+    first = precoder_sets[0]
+    rows = np.empty((len(precoder_sets), first.num_users + 1, first.common.shape[0]), complex)
+    for row, precoders in zip(rows, precoder_sets):
+        row[0] = precoders.common
+        row[1:] = precoders.private.T
+    return rows
 
 
 def _abs2(x: np.ndarray) -> np.ndarray:
@@ -162,48 +178,71 @@ def interference_masks(
 
 
 def _masked_sums(gains: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """sum_j mask[k, j] gains[k, j, m] -> (K, M), one row-vector product per user."""
-    return (mask[:, None, :] @ gains)[:, 0]
+    """sum_j mask[k, j] gains[..., k, j, m] -> (..., K, M), one row-vector product per user."""
+    return (mask[:, None, :] @ gains)[..., 0, :]
 
 
 def _stream_powers(
     strategy: Strategy,
     samples: SampleSet,
-    precoders: PrecoderSet,
+    columns: np.ndarray,
+    order: tuple[int, ...] | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Products, signal and interference-plus-noise of every stream per sample.
 
-    Returns (products, signal, noise): the (K, K+1, M) ``_stream_products``,
-    and two (2, K, M) arrays indexed [stream, user, sample], stream 0 the
-    common one and 1 user k's private one.  ``signal`` is |h_k^H p|^2 of the
-    stream's own precoder and ``noise`` what else the stream meets: unit noise
-    and every private stream for the common one; for a private one, unit
-    noise and the private streams ``interference_masks`` lets through, added
-    as ``(1 + error-channel part) + channel part``.
+    ``columns`` stacks B candidates' precoders as (B, K+1, N_t), row 0 the
+    common one and 1 + j user j's private one (``_stacked_columns``); they
+    share the encoding ``order``.  Returns (products, signal, noise): the
+    (B, K, K+1, M) ``_row_products`` of the columns, and two (B, 2, K, M)
+    arrays indexed [candidate, stream, user, sample], stream 0 the common one
+    and 1 user k's private one.  ``signal`` is |h_k^H p|^2 of the stream's own
+    precoder and ``noise`` what else the stream meets: unit noise and every
+    private stream for the common one; for a private one, unit noise and the
+    private streams ``interference_masks`` lets through, added as
+    ``(1 + error-channel part) + channel part``.  From M >= 2 samples, every
+    candidate's arrays are bit for bit those it gets when scored alone.
     """
-    products = _stream_products(samples, precoders)
+    k_users = columns.shape[1] - 1
+    products = _row_products(columns, samples.realizations_h)
     gains = _abs2(products)
-    g_true = gains[:, 1:]                                   # |h_k^H p_j|^2, (K, K, M)
-    channel, error = interference_masks(strategy, precoders.order, precoders.num_users)
+    g_true = gains[:, :, 1:]                                # |h_k^H p_j|^2, (B, K, K, M)
+    channel, error = interference_masks(strategy, order, k_users)
     private = 1.0
     if error.any():
-        g_err = _abs2(precoders.private.T @ samples.errors_h)
+        g_err = _abs2(_row_products(columns[:, 1:], samples.errors_h))
         private = private + _masked_sums(g_err, error)
-    own = np.arange(precoders.num_users)
-    signal = np.stack([gains[:, 0], g_true[own, own]])
-    noise = np.stack([g_true.sum(axis=1) + 1.0, private + _masked_sums(g_true, channel)])
+    own = np.arange(k_users)
+    signal = np.stack([gains[:, :, 0], g_true[:, own, own]], axis=1)
+    noise = np.stack(
+        [g_true.sum(axis=2) + 1.0, private + _masked_sums(g_true, channel)], axis=1
+    )
     return products, signal, noise
 
 
 def sampled_average_rates(
     strategy: Strategy,
     samples: SampleSet,
-    precoders: PrecoderSet,
-) -> RateReport:
-    """Arithmetic mean of the instantaneous rates over the M channel samples."""
-    _, signal, noise = _stream_powers(strategy, samples, precoders)
-    common, private = np.log2(1.0 + signal / noise).mean(axis=-1)
-    return RateReport(common, private)
+    precoder_sets: Sequence[PrecoderSet],
+) -> list[RateReport]:
+    """Arithmetic mean of the instantaneous rates over the M channel samples, per set.
+
+    The sets share one encoding order.  They are scored in stacked chunks of
+    at most ``_STACK_PRODUCTS`` stream products (at least one set), and one
+    at a time from a single sample, so one set's report is bit for bit the
+    same alone or among others.
+    """
+    order = precoder_sets[0].order
+    if any(precoders.order != order for precoders in precoder_sets):
+        raise ValueError("the precoder sets must share one encoding order")
+    k_users, _, m = samples.realizations_h.shape
+    chunk = 1 if m == 1 else max(1, _STACK_PRODUCTS // (k_users * (k_users + 1) * m))
+    reports = []
+    for first in range(0, len(precoder_sets), chunk):
+        columns = _stacked_columns(precoder_sets[first:first + chunk])
+        _, signal, noise = _stream_powers(strategy, samples, columns, order)
+        rates = np.log2(1.0 + signal / noise).mean(axis=-1)
+        reports += [RateReport(common, private) for common, private in rates]
+    return reports
 
 
 def wasr(weights: np.ndarray, totals: np.ndarray) -> float:

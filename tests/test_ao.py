@@ -6,6 +6,7 @@ import pytest
 
 from noumopt import (
     AoConfig,
+    CommonRateAlloc,
     PrecoderSet,
     SampleSet,
     Strategy,
@@ -17,8 +18,10 @@ from noumopt import (
     initialize_precoders,
     optimize,
     optimize_strategy,
+    sampled_average_rates,
     solve,
     update_equalizers_weights,
+    wasr,
 )
 from noumopt import ao as ao_module
 from noumopt import subproblem as subproblem_module
@@ -224,6 +227,146 @@ class TestMonotonicityAndStatus:
         assert res.alloc.multicast >= 0.3 - 1e-9
         assert np.all(res.totals() >= 0.2 - 1e-6)
         assert res.precoders.total_power() <= cfg.transmit_power + 1e-7
+
+
+class TestLadder:
+    """``_candidate_state`` scores the step and its extrapolations as one batch.
+
+    It must return what scoring ``[step] + probes`` one set at a time returns,
+    bit for bit: the first strict WASR maximum among the candidates that meet
+    the rate constraints, or None when the step itself misses them.
+    """
+
+    @staticmethod
+    def _one_at_a_time(strategy, samples, previous, step, weights, multicast, unicast, p_t):
+        """(best state or None, [(report, WASR or None if infeasible)] per candidate)."""
+        best, scored = None, []
+        for gamma in (1.0,) + ao_module._EXTRAPOLATION_FACTORS:
+            prec = step if gamma == 1.0 else PrecoderSet(
+                previous.common + gamma * (step.common - previous.common),
+                previous.private + gamma * (step.private - previous.private),
+                step.order,
+            )
+            power = prec.total_power()
+            if power > p_t:
+                scale = np.sqrt(p_t / power)
+                prec = PrecoderSet(prec.common * scale, prec.private * scale, prec.order)
+            (report,) = sampled_average_rates(strategy, samples, [prec])
+            rates, ok = ao_module._greedy_alloc(strategy, [report], weights, multicast, unicast)
+            value = None
+            if ok[0]:
+                alloc = CommonRateAlloc(rates[0])
+                value = wasr(weights, alloc.per_user + report.private_per_user)
+                if best is None or value > best[0]:
+                    best = (value, prec, alloc, report)
+            scored.append((report, value))
+        return (best if scored[0][1] is not None else None), scored
+
+    @staticmethod
+    def _assert_same_state(got, want):
+        if want is None:
+            assert got is None
+            return
+        assert got[0] == want[0]
+        pairs = [(got[1].common, want[1].common), (got[1].private, want[1].private),
+                 (got[2].rates, want[2].rates),
+                 (got[3].common_per_user, want[3].common_per_user),
+                 (got[3].private_per_user, want[3].private_per_user)]
+        for a, b in pairs:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_subproblem_step_matches_one_at_a_time(self, strategy):
+        cfg = SystemConfig(2, 2, 20.0, 0.6, (1.0, 1.0), 4)
+        est = draw_estimate(cfg, 0)
+        samples = draw_sample_set(cfg, est, 64, 0)
+        weights = np.array([1.0, 3.0])
+        previous = initialize_precoders(est, cfg, (1, 0) if strategy.uses_dpc else None)
+        g, w = update_equalizers_weights(strategy, samples, previous)
+        coeffs = assemble_coefficients(strategy, samples, g, w, previous.order)
+        spec = build_subproblem(coeffs, weights, np.zeros(2), 0.2, cfg.transmit_power)
+        step = solve(spec, initial=previous).precoders
+        args = (strategy, samples, previous, step, weights, 0.2, np.zeros(2), cfg.transmit_power)
+        want, _ = self._one_at_a_time(*args)
+        assert want is not None
+        self._assert_same_state(ao_module._candidate_state(*args), want)
+
+    @staticmethod
+    def _sign_flip_ladder(unicast_user_0):
+        # MULP, where only user 0's private precoder moves: e_1 times 5 before
+        # the step and 3 after it, so the candidates (factors 1, 1.5, 2, 3, 5,
+        # 8) put 3, 2, 1, -1, -5 and -11 there, all exact.  Factors 2 and 3
+        # differ only in that column's sign and so tie bit for bit.  User 1's
+        # weight dominates, so a weaker user-0 stream scores higher.
+        cfg = SystemConfig(2, 2, 20.0, 0.6, (1.0, 1.0), 4)
+        est = draw_estimate(cfg, 0)
+        samples = draw_sample_set(cfg, est, 64, 0)
+        common = np.array([2.0, 0.0], dtype=complex)
+        previous = PrecoderSet(common, np.array([[5.0, 0.0], [0.0, 4.0]], dtype=complex))
+        step = PrecoderSet(common, np.array([[3.0, 0.0], [0.0, 4.0]], dtype=complex))
+        return (Strategy.MULP, samples, previous, step, np.array([1e-3, 1.0]), 0.0,
+                np.array([unicast_user_0, 0.0]), 200.0)
+
+    def _user_0_rates(self):
+        """User 0's private rate at each candidate, with no QoS threshold."""
+        _, scored = self._one_at_a_time(*self._sign_flip_ladder(0.0))
+        return [report.private_per_user[0] for report, _ in scored]
+
+    @staticmethod
+    def _feasible(scored):
+        return [value is not None for _, value in scored]
+
+    def test_tie_goes_to_the_smaller_factor(self):
+        args = self._sign_flip_ladder(0.0)
+        want, scored = self._one_at_a_time(*args)
+        values = [value for _, value in scored]
+        assert None not in values
+        assert values[2] == values[3] == max(values)
+        got = ao_module._candidate_state(*args)
+        self._assert_same_state(got, want)
+        assert got[1].private[0, 0] == 1.0          # factor 2, not its sign-flipped tie
+
+    def test_infeasible_probe_is_skipped(self):
+        rate = self._user_0_rates()
+        # User 0's QoS threshold between its rates at |1| and |2|: factors 2
+        # and 3, the best scores, miss it.
+        args = self._sign_flip_ladder(0.5 * (rate[2] + rate[1]))
+        want, scored = self._one_at_a_time(*args)
+        assert self._feasible(scored) == [True, True, False, False, True, True]
+        got = ao_module._candidate_state(*args)
+        self._assert_same_state(got, want)
+        assert got[1].private[0, 0] == 2.0          # factor 1.5
+
+    def test_step_that_misses_the_constraints_gives_none(self):
+        rate = self._user_0_rates()
+        # Threshold between user 0's rates at |3| (the step) and |5|: the
+        # step misses it although factors 5 and 8 meet it.
+        args = self._sign_flip_ladder(0.5 * (rate[0] + rate[4]))
+        want, scored = self._one_at_a_time(*args)
+        assert self._feasible(scored) == [False, False, False, False, True, True]
+        assert want is None
+        assert ao_module._candidate_state(*args) is None
+
+    def test_step_that_misses_the_constraints_is_rejected_at_iteration_0(self, monkeypatch):
+        # A zero step misses the QoS thresholds; its factor-2 probe is minus
+        # the start, which meets them, yet the run stops rejected.
+        real_solve = ao_module.solve
+
+        def zero_step(spec, **kwargs):
+            sol = real_solve(spec, **kwargs)
+            p = sol.precoders
+            zero = PrecoderSet(0 * p.common, 0 * p.private, p.order)
+            return dataclasses.replace(sol, precoders=zero)
+
+        monkeypatch.setattr(ao_module, "solve", zero_step)
+        cfg = SystemConfig(2, 2, 20.0, 0.6, (1.0, 1.0), 0)
+        est = draw_estimate(cfg, 0)
+        samples = draw_sample_set(cfg, est, 8, 0)
+        res = optimize(cfg, Strategy.RS1, est, samples, np.ones(2),
+                       unicast_thresholds=np.full(2, 0.1), ao=quick_ao())
+        assert res.status == "rejected"
+        assert res.iterations == 0
+        assert res.alloc is not None
 
 
 class TestNesting:

@@ -224,7 +224,7 @@ class TestSolveCommand:
 
         summary = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert summary["status"] == "infeasible"
-        for key in ("wasr", "per_user_totals", "common_alloc", "kkt_residual"):
+        for key in ("wasr", "per_user_totals", "common_alloc", "common_bound", "kkt_residual"):
             assert summary[key] is None
 
     def test_solve_unknown_strategy(self, tmp_path):

@@ -17,7 +17,7 @@ from noumopt import (
 )
 from noumopt.channel import ChannelEstimate
 from noumopt.reference import instantaneous_common_rate, instantaneous_private_rate
-from noumopt.strategies import interference_masks
+from noumopt.strategies import _stacked_columns, _stream_powers, interference_masks
 
 
 def cvec(*entries):
@@ -141,7 +141,7 @@ class TestSampledAverages:
     def test_single_sample_equals_instantaneous(self):
         cfg, est, s = small_sample_set(m=1)
         prec = PrecoderSet(cvec(1, 1), np.column_stack([cvec(2, 0), cvec(0, 2)]), (0, 1))
-        rep = sampled_average_rates(Strategy.DPCRS1, s, prec)
+        (rep,) = sampled_average_rates(Strategy.DPCRS1, s, [prec])
         for k in range(2):
             inst_c = instantaneous_common_rate(
                 Strategy.DPCRS1, s.realizations[0, :, k], s.errors[0, :, k], prec
@@ -156,8 +156,8 @@ class TestSampledAverages:
         cfg = SystemConfig(2, 2, 15.0, 1e6, (1.0, 1.0), 3)
         est = draw_estimate(cfg, 0)
         prec = PrecoderSet(cvec(1, 0), np.column_stack([cvec(2, 0), cvec(0, 2)]), (0, 1))
-        rep1 = sampled_average_rates(Strategy.RS1, draw_sample_set(cfg, est, 1, 0), prec)
-        rep8 = sampled_average_rates(Strategy.RS1, draw_sample_set(cfg, est, 8, 0), prec)
+        (rep1,) = sampled_average_rates(Strategy.RS1, draw_sample_set(cfg, est, 1, 0), [prec])
+        (rep8,) = sampled_average_rates(Strategy.RS1, draw_sample_set(cfg, est, 8, 0), [prec])
         assert np.allclose(rep1.common_per_user, rep8.common_per_user, atol=1e-12)
         assert np.allclose(rep1.private_per_user, rep8.private_per_user, atol=1e-12)
 
@@ -169,8 +169,8 @@ class TestSampledAverages:
             np.repeat(s.realizations, 5, axis=0),
         )
         prec = PrecoderSet(cvec(1, 1), np.column_stack([cvec(2, 0), cvec(1, 2)]), (1, 0))
-        a = sampled_average_rates(Strategy.DPC, s, prec)
-        b = sampled_average_rates(Strategy.DPC, dup, prec)
+        (a,) = sampled_average_rates(Strategy.DPC, s, [prec])
+        (b,) = sampled_average_rates(Strategy.DPC, dup, [prec])
         assert np.allclose(a.common_per_user, b.common_per_user, atol=1e-12)
         assert np.allclose(a.private_per_user, b.private_per_user, atol=1e-12)
 
@@ -183,7 +183,7 @@ class TestSampledAverages:
             (0, 1),
         )
         for strat in Strategy:
-            rep = sampled_average_rates(strat, s, prec)
+            (rep,) = sampled_average_rates(strat, s, [prec])
             assert np.all(rep.common_per_user >= 0)
             assert np.all(rep.private_per_user >= 0)
             assert np.all(np.isfinite(rep.common_per_user))
@@ -242,6 +242,49 @@ class TestInterferenceMasks:
                 interference_masks(strategy, None, 2)
             with pytest.raises(ValueError):
                 interference_masks(strategy, (0, 0), 2)
+
+
+class TestStackedKernel:
+    """A candidate's numbers do not depend on the candidates stacked with it.
+
+    The AO scores a step and its extrapolations in one stacked call, so this
+    is what makes that call pick the iterate a one-at-a-time loop would.
+    M = 4000 is scored one set per chunk, the smaller M all six at once.
+    """
+
+    @pytest.mark.parametrize("k, n_t, m", [(2, 2, 64), (3, 4, 100), (2, 4, 4000)])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_candidate_alone_equals_candidate_in_a_stack(self, strategy, k, n_t, m):
+        rng = np.random.default_rng(10 * k + n_t)
+        cfg = SystemConfig(k, n_t, 20.0, 0.6, (1.0,) * k, 3)
+        est = draw_estimate(cfg, 0)
+        samples = draw_sample_set(cfg, est, m, 0)
+        order = tuple(int(j) for j in rng.permutation(k))
+        sets = [
+            PrecoderSet(
+                rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t),
+                rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k)),
+                order,
+            )
+            for _ in range(6)
+        ]
+        stacked = _stream_powers(strategy, samples, _stacked_columns(sets), order)
+        reports = sampled_average_rates(strategy, samples, sets)
+        assert len(reports) == len(sets)
+        for b, prec in enumerate(sets):
+            alone = _stream_powers(strategy, samples, _stacked_columns([prec]), order)
+            for in_stack, by_itself in zip(stacked, alone):
+                assert in_stack[b].tobytes() == by_itself[0].tobytes()
+            (report,) = sampled_average_rates(strategy, samples, [prec])
+            assert reports[b].common_per_user.tobytes() == report.common_per_user.tobytes()
+            assert reports[b].private_per_user.tobytes() == report.private_per_user.tobytes()
+
+    def test_sets_must_share_one_order(self):
+        cfg, est, s = small_sample_set(m=4)
+        private = np.column_stack([cvec(2, 0), cvec(1, 2)])
+        sets = [PrecoderSet(cvec(1, 1), private, (0, 1)), PrecoderSet(cvec(1, 1), private, (1, 0))]
+        with pytest.raises(ValueError):
+            sampled_average_rates(Strategy.DPC, s, sets)
 
 
 class TestPrecoderSetValidation:

@@ -345,7 +345,7 @@ class TestXiHat:
 
     def test_equals_one_minus_sampled_ar_at_update_point(self):
         s, prec, g, w, coeffs = self._instance(9)
-        rep = sampled_average_rates(Strategy.DPCRS1, s, prec)
+        (rep,) = sampled_average_rates(Strategy.DPCRS1, s, [prec])
         for user in range(2):
             assert xi_hat(coeffs, prec, COMMON, user) == pytest.approx(
                 1.0 - rep.common_per_user[user], abs=1e-10
