@@ -82,19 +82,15 @@ class AoResult:
 def matched_filters(h: np.ndarray, power_per_user: float) -> np.ndarray:
     """Unit-norm matched filters to the estimate columns, scaled to equal power.
 
-    A zero column falls back to a deterministic unit vector.
+    A zero column k falls back to the unit vector e_(k mod N_t).
     """
     n_t, k_users = h.shape
-    private = np.zeros((n_t, k_users), dtype=complex)
+    private = np.eye(n_t, dtype=complex)[:, np.arange(k_users) % n_t]   # the fallbacks
     for k in range(k_users):
         norm = np.linalg.norm(h[:, k])
         if norm > 1e-12:
-            direction = h[:, k] / norm
-        else:
-            direction = np.zeros(n_t, dtype=complex)
-            direction[k % n_t] = 1.0
-        private[:, k] = direction * np.sqrt(power_per_user)
-    return private
+            private[:, k] = h[:, k] / norm
+    return private * np.sqrt(power_per_user)
 
 
 def initialize_precoders(
@@ -119,16 +115,14 @@ def initialize_precoders(
         beta = min(0.5, p_t ** (-min(cfg.csit_alpha, 1.0)) * k_users / (k_users + 1))
 
     private = matched_filters(h, (1.0 - beta) * p_t / k_users)
+    direction = np.eye(n_t, dtype=complex)[0]          # the zero estimate's fallback
     if np.linalg.norm(h) > 1e-12:
         u, _, _ = np.linalg.svd(h, full_matrices=False)
         direction = u[:, 0]
         pivot = direction[np.argmax(np.abs(direction))]
         direction = direction * (pivot.conj() / abs(pivot))
-    else:
-        direction = np.zeros(n_t, dtype=complex)
-        direction[0] = 1.0
     common = direction * np.sqrt(beta * p_t)
-    return PrecoderSet(common, private, order)
+    return PrecoderSet.from_parts(common, private, order)
 
 
 def _should_pin_common(
@@ -241,6 +235,23 @@ def _greedy_alloc(
     return rates, feasible
 
 
+def _score(
+    strategy: Strategy, samples: SampleSet, candidates: Sequence[PrecoderSet],
+    weights: np.ndarray, multicast_threshold: float, unicast_thresholds: np.ndarray,
+) -> tuple[list[float], np.ndarray, list[RateReport]]:
+    """True WASR of each candidate (-inf where it misses the rate constraints), with
+    the (B, K+1) ``_greedy_alloc`` allocations and the reports of one batched rating."""
+    reports = sampled_average_rates(strategy, samples, candidates)
+    rates, feasible = _greedy_alloc(
+        strategy, reports, weights, multicast_threshold, unicast_thresholds
+    )
+    values = [
+        wasr(weights, rates[b, 1:] + report.private_per_user) if feasible[b] else -np.inf
+        for b, report in enumerate(reports)
+    ]
+    return values, rates, reports
+
+
 def _candidate_state(
     strategy: Strategy,
     samples: SampleSet,
@@ -259,33 +270,15 @@ def _candidate_state(
     of the first strict WASR maximum among those that meet the rate
     constraints, or None when the step itself misses them.
     """
-    probes = [
-        PrecoderSet(
-            previous.common + gamma * (step.common - previous.common),
-            previous.private + gamma * (step.private - previous.private),
-            step.order,
-        )
-        for gamma in _EXTRAPOLATION_FACTORS
-    ]
-    candidates = []
-    for precoders in [step] + probes:
-        power = precoders.total_power()
-        if power > p_t:
-            scale = np.sqrt(p_t / power)
-            precoders = PrecoderSet(precoders.common * scale, precoders.private * scale,
-                                    precoders.order)
-        candidates.append(precoders)
-    reports = sampled_average_rates(strategy, samples, candidates)
-    rates, feasible = _greedy_alloc(
-        strategy, reports, weights, multicast_threshold, unicast_thresholds
+    probes = [PrecoderSet(previous.rows + gamma * (step.rows - previous.rows), step.order)
+              for gamma in _EXTRAPOLATION_FACTORS]
+    candidates = [precoders.capped(p_t) for precoders in [step] + probes]
+    values, rates, reports = _score(
+        strategy, samples, candidates, weights, multicast_threshold, unicast_thresholds
     )
-    if not feasible[0]:
+    if values[0] == -np.inf:
         return None
-    values = {
-        b: wasr(weights, rates[b, 1:] + reports[b].private_per_user)
-        for b in np.flatnonzero(feasible)
-    }
-    best = max(values, key=values.get)          # max keeps the first of equal values
+    best = max(range(len(values)), key=values.__getitem__)   # max keeps the first of equals
     return values[best], candidates[best], CommonRateAlloc(rates[best]), reports[best]
 
 
@@ -300,14 +293,12 @@ def _run_ao(
     precoders: PrecoderSet,
 ) -> AoResult:
     order = precoders.order
-    (report,) = sampled_average_rates(strategy, samples, [precoders])
-    rates, feasible = _greedy_alloc(
-        strategy, [report], weights, multicast_threshold, unicast_thresholds
-    )
-    alloc = CommonRateAlloc(rates[0]) if feasible[0] else None
     # A start that misses the rate constraints has the WASR of an infeasible
     # point, -inf; only an iterate that meets them may be returned.
-    current = -np.inf if alloc is None else wasr(weights, alloc.per_user + report.private_per_user)
+    (current,), rates, (report,) = _score(
+        strategy, samples, [precoders], weights, multicast_threshold, unicast_thresholds
+    )
+    alloc = None if current == -np.inf else CommonRateAlloc(rates[0])
     trace = [current]
     start = (current, precoders, alloc, report)
     best = None if alloc is None else start
@@ -348,16 +339,9 @@ def _run_ao(
 
     if best is None:
         status, best = "infeasible", start
-    return AoResult(
-        strategy=strategy,
-        precoders=best[1],
-        alloc=best[2],
-        report=best[3],
-        trace=tuple(trace),
-        status=status,
-        wasr=best[0],
-        last_kkt_residual=last_kkt,
-    )
+    value, precoders, alloc, report = best
+    return AoResult(strategy, precoders, alloc, report, tuple(trace), status,
+                    wasr=value, last_kkt_residual=last_kkt)
 
 
 def optimize_strategy(

@@ -68,6 +68,8 @@ class ExperimentSpec:
             raise ConfigError("sample_count and num_realizations must be >= 1")
         if not self.strategies:
             raise ConfigError("at least one strategy required")
+        if any(len(set(grid)) != len(grid) for grid in (self.weight_grid, self.alpha_grid)):
+            raise ConfigError("weight_grid and alpha_grid points must each be distinct")
         if self.multicast_threshold < 0:
             raise ConfigError("multicast_threshold must be >= 0")
         if self.unicast_thresholds is not None:

@@ -230,7 +230,7 @@ def matched_filter_esr(
     for r in range(num_realizations):
         estimate = draw_estimate(cfg, r)
         samples = draw_sample_set(cfg, estimate, sample_count, r)
-        precoders = PrecoderSet(
+        precoders = PrecoderSet.from_parts(
             np.zeros(cfg.num_tx_antennas, dtype=complex),
             matched_filters(estimate.matrix, cfg.transmit_power / k),
         )
@@ -257,7 +257,7 @@ def _random_precoders(
     rng: np.random.Generator, n_t: int, k: int, order: tuple[int, ...] | None
 ) -> PrecoderSet:
     """Standard complex Gaussian precoders, drawn common before private, real before imaginary."""
-    return PrecoderSet(
+    return PrecoderSet.from_parts(
         rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t),
         rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k)),
         order,
@@ -334,7 +334,7 @@ def check_subproblem_kkt(seeds) -> float:
         samples = draw_sample_set(cfg, est, 8, 0)
         prec = _random_precoders(np.random.default_rng(seed + 50), n_t, k, order)
         scale = np.sqrt(0.8 * cfg.transmit_power / prec.total_power())
-        prec = PrecoderSet(prec.common * scale, prec.private * scale, order)
+        prec = PrecoderSet(prec.rows * scale, order)
         g, w = update_equalizers_weights(strategy, samples, prec)
         coeffs = assemble_coefficients(strategy, samples, g, w, order)
         spec = build_subproblem(coeffs, np.ones(k), np.zeros(k), 0.1, cfg.transmit_power)

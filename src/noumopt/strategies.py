@@ -47,31 +47,59 @@ class Strategy(enum.Enum):
 
 @dataclass(frozen=True)
 class PrecoderSet:
-    """Common-stream precoder, K private precoders, and the encoding order.
+    """The precoder matrix P = [p_c, p_1, ..., p_K] as rows, and the encoding order.
 
-    ``private[:, k]`` is the precoder of user k's private stream.  ``order``
-    lists 0-based user indices in encoding order (order[0] encoded first);
-    it is ignored by the linear strategies.
+    ``rows`` is one read-only C-contiguous complex (K+1, N_t) array: row 0
+    is the common-stream precoder p_c and row 1 + k user k's private
+    precoder p_k.  An array that is already C-contiguous complex is shared,
+    not copied.  ``order`` lists 0-based user indices in encoding order
+    (order[0] encoded first); it is ignored by the linear strategies.
     """
 
-    common: np.ndarray   # (N_t,)
-    private: np.ndarray  # (N_t, K)
+    rows: np.ndarray     # (K+1, N_t)
     order: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.common.ndim != 1 or self.private.ndim != 2:
-            raise ValueError("common must be a vector and private a matrix")
-        if self.private.shape[0] != self.common.shape[0]:
-            raise ValueError("precoder lengths must agree")
+        rows = np.ascontiguousarray(self.rows, dtype=complex).view()
+        if rows.ndim != 2 or rows.shape[0] < 2:
+            raise ValueError("rows must be a (K+1, N_t) matrix with K >= 1")
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
         if self.order is not None and sorted(self.order) != list(range(self.num_users)):
             raise ValueError("order must be a permutation of the user indices")
 
+    @classmethod
+    def from_parts(
+        cls, common: np.ndarray, private: np.ndarray, order: tuple[int, ...] | None = None
+    ) -> PrecoderSet:
+        """The set of a common precoder (N_t,) and private ones, the columns of (N_t, K)."""
+        if np.ndim(common) != 1 or np.ndim(private) != 2:
+            raise ValueError("common must be a vector and private a matrix")
+        return cls(np.vstack([common, np.transpose(private)]), order)
+
+    @property
+    def common(self) -> np.ndarray:
+        """p_c: row 0."""
+        return self.rows[0]
+
+    @property
+    def private(self) -> np.ndarray:
+        """The (N_t, K) view whose column k is p_k."""
+        return self.rows[1:].T
+
     @property
     def num_users(self) -> int:
-        return self.private.shape[1]
+        return self.rows.shape[0] - 1
 
     def total_power(self) -> float:
-        return float(np.sum(np.abs(self.common) ** 2) + np.sum(np.abs(self.private) ** 2))
+        return float(np.sum(np.abs(self.rows[0]) ** 2) + np.sum(np.abs(self.rows[1:]) ** 2))
+
+    def capped(self, limit: float) -> PrecoderSet:
+        """This set when its total power is at most ``limit``, else it scaled onto ``limit``."""
+        power = self.total_power()
+        if power <= limit:
+            return self
+        return PrecoderSet(self.rows * np.sqrt(limit / power), self.order)
 
     def require_order(self) -> tuple[int, ...]:
         if self.order is None:
@@ -138,16 +166,6 @@ def _row_products(rows: np.ndarray, rows_h: np.ndarray) -> np.ndarray:
     return products.reshape(products.shape[0], b, r, products.shape[-1]).swapaxes(0, 1)
 
 
-def _stacked_columns(precoder_sets: Sequence[PrecoderSet]) -> np.ndarray:
-    """The sets' precoders as (B, K+1, N_t) rows: row 0 the common one, 1 + j user j's."""
-    first = precoder_sets[0]
-    rows = np.empty((len(precoder_sets), first.num_users + 1, first.common.shape[0]), complex)
-    for row, precoders in zip(rows, precoder_sets):
-        row[0] = precoders.common
-        row[1:] = precoders.private.T
-    return rows
-
-
 def _abs2(x: np.ndarray) -> np.ndarray:
     """|x|^2 entry-wise, without the square root of ``np.abs``."""
     out = np.square(x.real)
@@ -185,15 +203,15 @@ def _masked_sums(gains: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def _stream_powers(
     strategy: Strategy,
     samples: SampleSet,
-    columns: np.ndarray,
+    rows: np.ndarray,
     order: tuple[int, ...] | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Products, signal and interference-plus-noise of every stream per sample.
 
-    ``columns`` stacks B candidates' precoders as (B, K+1, N_t), row 0 the
-    common one and 1 + j user j's private one (``_stacked_columns``); they
-    share the encoding ``order``.  Returns (products, signal, noise): the
-    (B, K, K+1, M) ``_row_products`` of the columns, and two (B, 2, K, M)
+    ``rows`` stacks B candidates' ``PrecoderSet.rows`` as (B, K+1, N_t), row
+    0 the common precoder and 1 + j user j's private one; they share the
+    encoding ``order``.  Returns (products, signal, noise): the
+    (B, K, K+1, M) ``_row_products`` of the rows, and two (B, 2, K, M)
     arrays indexed [candidate, stream, user, sample], stream 0 the common one
     and 1 user k's private one.  ``signal`` is |h_k^H p|^2 of the stream's own
     precoder and ``noise`` what else the stream meets: unit noise and every
@@ -202,14 +220,14 @@ def _stream_powers(
     ``(1 + error-channel part) + channel part``.  From M >= 2 samples, every
     candidate's arrays are bit for bit those it gets when scored alone.
     """
-    k_users = columns.shape[1] - 1
-    products = _row_products(columns, samples.realizations_h)
+    k_users = rows.shape[1] - 1
+    products = _row_products(rows, samples.realizations_h)
     gains = _abs2(products)
     g_true = gains[:, :, 1:]                                # |h_k^H p_j|^2, (B, K, K, M)
     channel, error = interference_masks(strategy, order, k_users)
     private = 1.0
     if error.any():
-        g_err = _abs2(_row_products(columns[:, 1:], samples.errors_h))
+        g_err = _abs2(_row_products(rows[:, 1:], samples.errors_h))
         private = private + _masked_sums(g_err, error)
     own = np.arange(k_users)
     signal = np.stack([gains[:, :, 0], g_true[:, own, own]], axis=1)
@@ -238,8 +256,8 @@ def sampled_average_rates(
     chunk = 1 if m == 1 else max(1, _STACK_PRODUCTS // (k_users * (k_users + 1) * m))
     reports = []
     for first in range(0, len(precoder_sets), chunk):
-        columns = _stacked_columns(precoder_sets[first:first + chunk])
-        _, signal, noise = _stream_powers(strategy, samples, columns, order)
+        rows = np.stack([precoders.rows for precoders in precoder_sets[first:first + chunk]])
+        _, signal, noise = _stream_powers(strategy, samples, rows, order)
         rates = np.log2(1.0 + signal / noise).mean(axis=-1)
         reports += [RateReport(common, private) for common, private in rates]
     return reports

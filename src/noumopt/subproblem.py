@@ -7,7 +7,7 @@ quadratics in the precoders, with common-stream decodability constraints per
 user, per-user QoS constraints, a multicast QoS bound, a total power ball,
 and sign constraints on the slacks.
 
-Complex precoders are lifted to real variables (Re/Im stacked per column),
+Complex precoders are lifted to real variables (Re/Im stacked per precoder),
 Hermitian forms become symmetric real forms.  The surrogate is built from
 the nats-flavoured averaged WMSE, which the closed-form weight update
 minimizes exactly; slack rates are therefore in nats internally and
@@ -62,16 +62,16 @@ class SubproblemSpec:
         return 2 * self.num_tx * (self.num_users + 1)
 
     def pack(self, precoders: PrecoderSet, xhat_nats: np.ndarray) -> np.ndarray:
-        columns = np.column_stack([precoders.common, precoders.private])   # [p_c | P]
+        rows = precoders.rows
         z = np.empty(self.dim)
-        z[: self.slack_offset] = np.concatenate([columns.real, columns.imag]).T.ravel()
+        z[: self.slack_offset] = np.concatenate([rows.real, rows.imag], axis=1).ravel()
         z[self.slack_offset :] = xhat_nats
         return z
 
     def unpack(self, z: np.ndarray) -> tuple[PrecoderSet, np.ndarray]:
         lifted = z[: self.slack_offset].reshape(self.num_users + 1, 2, self.num_tx)
-        columns = lifted[:, 0] + 1j * lifted[:, 1]                          # row j = p_j
-        return PrecoderSet(columns[0], columns[1:].T, self.order), z[self.slack_offset :].copy()
+        precoders = PrecoderSet(lifted[:, 0] + 1j * lifted[:, 1], self.order)
+        return precoders, z[self.slack_offset :].copy()
 
 
 @dataclass(frozen=True)
@@ -216,14 +216,9 @@ def _interior_candidate(
     """Heuristic strictly-feasible candidate: shrink the precoders inside the
     power ball, then place the slacks halfway into their feasible interval."""
     k = spec.num_users
-    n = spec.num_tx
     if precoders is None:
-        precoders = PrecoderSet(np.zeros(n, complex), np.zeros((n, k), complex), spec.order)
-    power = precoders.total_power()
-    limit = spec.power_budget * (1.0 - _CANDIDATE_POWER_MARGIN)
-    if power > limit:
-        scale = np.sqrt(limit / power)
-        precoders = PrecoderSet(precoders.common * scale, precoders.private * scale, spec.order)
+        precoders = PrecoderSet(np.zeros((k + 1, spec.num_tx), complex), spec.order)
+    precoders = precoders.capped(spec.power_budget * (1.0 - _CANDIDATE_POWER_MARGIN))
     if spec.num_slack == 0:
         return spec.pack(precoders, np.zeros(0))
 

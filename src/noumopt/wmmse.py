@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SampleSet
-from .strategies import PrecoderSet, Strategy, _abs2, _stacked_columns, _stream_powers
+from .strategies import PrecoderSet, Strategy, _abs2, _stream_powers
 
 # Stream indices: the stream axis of every stacked WMSE array.
 COMMON = 0
@@ -33,8 +33,8 @@ def update_equalizers_weights(
     ``PRIVATE`` as in ``QuadCoefficients``, and the sample axis last, as in the
     ``SampleSet``'s conjugated draws; every weight is >= 1.
     """
-    columns = _stacked_columns([precoders])
-    (products,), (signal,), (noise,) = _stream_powers(strategy, samples, columns, precoders.order)
+    rows, order = precoders.rows[None], precoders.order
+    (products,), (signal,), (noise,) = _stream_powers(strategy, samples, rows, order)
     own = np.arange(precoders.num_users)
     hp = np.stack([products[:, 0], products[own, own + 1]])   # own precoder's h^H p
     t = signal + noise

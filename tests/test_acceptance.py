@@ -102,13 +102,13 @@ def test_criterion_4_subproblem_correctness():
     est = draw_estimate(cfg, 0)
     samples = draw_sample_set(cfg, est, 1, 0)
     rng = np.random.default_rng(140)
-    prec = PrecoderSet(
+    prec = PrecoderSet.from_parts(
         rng.standard_normal(1) + 1j * rng.standard_normal(1),
         rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)),
         None,
     )
     scale = np.sqrt(0.8 * cfg.transmit_power / prec.total_power())
-    prec = PrecoderSet(prec.common * scale, prec.private * scale, None)
+    prec = PrecoderSet.from_parts(prec.common * scale, prec.private * scale, None)
     g, w = update_equalizers_weights(Strategy.RS1, samples, prec)
     coeffs = assemble_coefficients(Strategy.RS1, samples, g, w, None)
     spec = build_subproblem(coeffs, np.ones(1), np.zeros(1), 0.0, cfg.transmit_power)

@@ -63,7 +63,7 @@ class TestInitializer:
         est = draw_estimate(cfg, 0)  # alpha = 0 -> zero estimate
         prec = initialize_precoders(est, cfg)
         assert prec.total_power() == pytest.approx(cfg.transmit_power, rel=1e-12)
-        assert np.all(np.isfinite(prec.private.view(float)))
+        assert np.all(np.isfinite(prec.rows.view(float)))
 
     @pytest.mark.parametrize("fraction", [0.5, 0.9, 1.0 - 1e-6])
     @pytest.mark.parametrize("alpha", [0.6, 0.0])   # alpha = 0 -> zero estimate
@@ -242,7 +242,7 @@ class TestLadder:
         """(best state or None, [(report, WASR or None if infeasible)] per candidate)."""
         best, scored = None, []
         for gamma in (1.0,) + ao_module._EXTRAPOLATION_FACTORS:
-            prec = step if gamma == 1.0 else PrecoderSet(
+            prec = step if gamma == 1.0 else PrecoderSet.from_parts(
                 previous.common + gamma * (step.common - previous.common),
                 previous.private + gamma * (step.private - previous.private),
                 step.order,
@@ -250,7 +250,7 @@ class TestLadder:
             power = prec.total_power()
             if power > p_t:
                 scale = np.sqrt(p_t / power)
-                prec = PrecoderSet(prec.common * scale, prec.private * scale, prec.order)
+                prec = PrecoderSet.from_parts(prec.common * scale, prec.private * scale, prec.order)
             (report,) = sampled_average_rates(strategy, samples, [prec])
             rates, ok = ao_module._greedy_alloc(strategy, [report], weights, multicast, unicast)
             value = None
@@ -302,8 +302,8 @@ class TestLadder:
         est = draw_estimate(cfg, 0)
         samples = draw_sample_set(cfg, est, 64, 0)
         common = np.array([2.0, 0.0], dtype=complex)
-        previous = PrecoderSet(common, np.array([[5.0, 0.0], [0.0, 4.0]], dtype=complex))
-        step = PrecoderSet(common, np.array([[3.0, 0.0], [0.0, 4.0]], dtype=complex))
+        previous = PrecoderSet.from_parts(common, np.array([[5.0, 0.0], [0.0, 4.0]], dtype=complex))
+        step = PrecoderSet.from_parts(common, np.array([[3.0, 0.0], [0.0, 4.0]], dtype=complex))
         return (Strategy.MULP, samples, previous, step, np.array([1e-3, 1.0]), 0.0,
                 np.array([unicast_user_0, 0.0]), 200.0)
 
@@ -355,7 +355,7 @@ class TestLadder:
         def zero_step(spec, **kwargs):
             sol = real_solve(spec, **kwargs)
             p = sol.precoders
-            zero = PrecoderSet(0 * p.common, 0 * p.private, p.order)
+            zero = PrecoderSet.from_parts(0 * p.common, 0 * p.private, p.order)
             return dataclasses.replace(sol, precoders=zero)
 
         monkeypatch.setattr(ao_module, "solve", zero_step)

@@ -133,6 +133,11 @@ class TestExitCodes:
                      id="weight-grid-nan"),
         pytest.param("region", {"weight_grid": []}, [], "config error", id="weight-grid-empty"),
         pytest.param("esr-alpha", {"alpha_grid": []}, [], "config error", id="alpha-grid-empty"),
+        # Repeated grid points would write two CSV rows with one key.
+        pytest.param("esr-alpha", {"alpha_grid": [0.5, 0.5], "threshold_schedule": [0.1, 1.5]},
+                     [], "config error", id="alpha-grid-repeated"),
+        pytest.param("region", {"weight_grid": [2.0, 0.5, 2.0]}, [], "config error",
+                     id="weight-grid-repeated"),
         pytest.param("region", {}, ["--eps", "nan"], "config error", id="eps-nan"),
         pytest.param("esr-alpha", {"alpha_grid": [0.5, float("nan")]}, [], "config error",
                      id="alpha-grid-nan"),

@@ -46,7 +46,7 @@ def check_kernels(strategy, samples, common, private):
     m, _, k = samples.realizations.shape
     orders = itertools.permutations(range(k)) if strategy.uses_dpc else [None]
     for order in orders:
-        prec = PrecoderSet(common, private, order)
+        prec = PrecoderSet.from_parts(common, private, order)
         (report,) = sampled_average_rates(strategy, samples, [prec])
         g_all, w_all = update_equalizers_weights(strategy, samples, prec)
         coeffs = assemble_coefficients(strategy, samples, g_all, w_all, order)

@@ -35,7 +35,7 @@ def test_weight_sign_flip_breaks_identity():
     for _ in range(50):
         h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         p = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        prec = PrecoderSet(p, rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1)))
+        prec = PrecoderSet.from_parts(p, rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1)))
         T = effective_power_T(Strategy.RS1, COMMON, 0, h, None, prec)
         sig = abs(np.vdot(h, prec.common)) ** 2
         g = mmse_equalizer(h, prec.common, T)
@@ -54,7 +54,7 @@ def test_omitted_later_interference_breaks_xi_hat_equivalence():
     samples = draw_sample_set(cfg, est, 8, 0)
     rng = np.random.default_rng(19)
     order = (0, 1, 2)
-    prec = PrecoderSet(
+    prec = PrecoderSet.from_parts(
         rng.standard_normal(2) + 1j * rng.standard_normal(2),
         rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)),
         order,

@@ -17,7 +17,7 @@ from noumopt import (
 )
 from noumopt.channel import ChannelEstimate
 from noumopt.reference import instantaneous_common_rate, instantaneous_private_rate
-from noumopt.strategies import _stacked_columns, _stream_powers, interference_masks
+from noumopt.strategies import _stream_powers, interference_masks
 
 
 def cvec(*entries):
@@ -27,23 +27,23 @@ def cvec(*entries):
 class TestCommonRate:
     def test_hand_example(self):
         # h=[1,0], p_c=[2,0], p1=[1,0], p2=0 -> log2(1 + 4/2) = log2(3)
-        prec = PrecoderSet(cvec(2, 0), np.column_stack([cvec(1, 0), cvec(0, 0)]))
+        prec = PrecoderSet.from_parts(cvec(2, 0), np.column_stack([cvec(1, 0), cvec(0, 0)]))
         rate = instantaneous_common_rate(Strategy.RS1, cvec(1, 0), None, prec)
         assert rate == pytest.approx(np.log2(3.0), abs=1e-12)
         assert rate == pytest.approx(1.58496, abs=1e-5)
 
     def test_zero_common_precoder(self):
-        prec = PrecoderSet(cvec(0, 0), np.column_stack([cvec(1, 0), cvec(0, 1)]))
+        prec = PrecoderSet.from_parts(cvec(0, 0), np.column_stack([cvec(1, 0), cvec(0, 1)]))
         assert instantaneous_common_rate(Strategy.MULP, cvec(1, 0), None, prec) == 0.0
 
     def test_orthogonal_channel(self):
-        prec = PrecoderSet(cvec(3, 0), np.column_stack([cvec(1, 1), cvec(0, 2)]))
+        prec = PrecoderSet.from_parts(cvec(3, 0), np.column_stack([cvec(1, 1), cvec(0, 2)]))
         assert instantaneous_common_rate(Strategy.DPC, cvec(0, 1), None, prec) == 0.0
 
     def test_identical_across_strategies(self):
         rng = np.random.default_rng(5)
         h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        prec = PrecoderSet(
+        prec = PrecoderSet.from_parts(
             rng.standard_normal(3) + 1j * rng.standard_normal(3),
             rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)),
             (1, 0),
@@ -58,7 +58,7 @@ class TestCommonRate:
 class TestPrivateRate:
     def test_perfect_csit_orthogonal(self):
         # Orthogonal channels and matched precoders at power 50 each: log2(51).
-        prec = PrecoderSet(
+        prec = PrecoderSet.from_parts(
             cvec(0, 0),
             np.column_stack([cvec(np.sqrt(50), 0), cvec(0, np.sqrt(50))]),
             (0, 1),
@@ -72,7 +72,7 @@ class TestPrivateRate:
 
     def test_dpc_residual_interference(self):
         # Second-encoded user: residual |h_err^H p_first|^2 = 0.09, own gain 4.
-        prec = PrecoderSet(
+        prec = PrecoderSet.from_parts(
             cvec(0, 0),
             np.column_stack([cvec(1, 0), cvec(2, 0)]),
             (0, 1),
@@ -84,7 +84,7 @@ class TestPrivateRate:
 
     def test_rs1_full_interference_smaller(self):
         # Same precoders under RS1: full |h^H p_first|^2 = 1 in the denominator.
-        prec = PrecoderSet(cvec(0, 0), np.column_stack([cvec(1, 0), cvec(2, 0)]), (0, 1))
+        prec = PrecoderSet.from_parts(cvec(0, 0), np.column_stack([cvec(1, 0), cvec(2, 0)]), (0, 1))
         h = cvec(1, 0)
         rs1 = instantaneous_private_rate(Strategy.RS1, h, None, prec, 1)
         dpc = instantaneous_private_rate(Strategy.DPC, h, cvec(0.3, 0), prec, 1)
@@ -100,13 +100,13 @@ class TestPrivateRate:
         h = rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t)
         privates = rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k))
         order = (2, 0, 1)
-        prec = PrecoderSet(cvec(0, 0, 0), privates, order)
+        prec = PrecoderSet.from_parts(cvec(0, 0, 0), privates, order)
         last = order[-1]
         dpc = instantaneous_private_rate(Strategy.DPC, h, np.zeros(n_t, complex), prec, last)
         zeroed = privates.copy()
         for u in order[:-1]:
             zeroed[:, u] = 0
-        rs1 = instantaneous_private_rate(Strategy.RS1, h, None, PrecoderSet(cvec(0, 0, 0), zeroed), last)
+        rs1 = instantaneous_private_rate(Strategy.RS1, h, None, PrecoderSet.from_parts(cvec(0, 0, 0), zeroed), last)
         assert dpc == pytest.approx(rs1, abs=1e-12)
 
     def test_phase_rotation_invariance(self):
@@ -115,8 +115,8 @@ class TestPrivateRate:
         e = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         privates = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         common = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        base = PrecoderSet(common, privates, (0, 1))
-        rotated = PrecoderSet(
+        base = PrecoderSet.from_parts(common, privates, (0, 1))
+        rotated = PrecoderSet.from_parts(
             common * np.exp(1j * 0.7),
             privates * np.exp(1j * np.array([[-1.1, 2.3]])),
             (0, 1),
@@ -140,7 +140,7 @@ def small_sample_set(m=4, seed=9, alpha=0.6):
 class TestSampledAverages:
     def test_single_sample_equals_instantaneous(self):
         cfg, est, s = small_sample_set(m=1)
-        prec = PrecoderSet(cvec(1, 1), np.column_stack([cvec(2, 0), cvec(0, 2)]), (0, 1))
+        prec = PrecoderSet.from_parts(cvec(1, 1), np.column_stack([cvec(2, 0), cvec(0, 2)]), (0, 1))
         (rep,) = sampled_average_rates(Strategy.DPCRS1, s, [prec])
         for k in range(2):
             inst_c = instantaneous_common_rate(
@@ -155,7 +155,7 @@ class TestSampledAverages:
     def test_zero_error_any_m(self):
         cfg = SystemConfig(2, 2, 15.0, 1e6, (1.0, 1.0), 3)
         est = draw_estimate(cfg, 0)
-        prec = PrecoderSet(cvec(1, 0), np.column_stack([cvec(2, 0), cvec(0, 2)]), (0, 1))
+        prec = PrecoderSet.from_parts(cvec(1, 0), np.column_stack([cvec(2, 0), cvec(0, 2)]), (0, 1))
         (rep1,) = sampled_average_rates(Strategy.RS1, draw_sample_set(cfg, est, 1, 0), [prec])
         (rep8,) = sampled_average_rates(Strategy.RS1, draw_sample_set(cfg, est, 8, 0), [prec])
         assert np.allclose(rep1.common_per_user, rep8.common_per_user, atol=1e-12)
@@ -168,7 +168,7 @@ class TestSampledAverages:
             np.repeat(s.errors, 5, axis=0),
             np.repeat(s.realizations, 5, axis=0),
         )
-        prec = PrecoderSet(cvec(1, 1), np.column_stack([cvec(2, 0), cvec(1, 2)]), (1, 0))
+        prec = PrecoderSet.from_parts(cvec(1, 1), np.column_stack([cvec(2, 0), cvec(1, 2)]), (1, 0))
         (a,) = sampled_average_rates(Strategy.DPC, s, [prec])
         (b,) = sampled_average_rates(Strategy.DPC, dup, [prec])
         assert np.allclose(a.common_per_user, b.common_per_user, atol=1e-12)
@@ -177,7 +177,7 @@ class TestSampledAverages:
     def test_all_rates_nonnegative_finite(self):
         cfg, est, s = small_sample_set(m=16)
         rng = np.random.default_rng(0)
-        prec = PrecoderSet(
+        prec = PrecoderSet.from_parts(
             rng.standard_normal(2) + 1j * rng.standard_normal(2),
             rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
             (0, 1),
@@ -261,18 +261,18 @@ class TestStackedKernel:
         samples = draw_sample_set(cfg, est, m, 0)
         order = tuple(int(j) for j in rng.permutation(k))
         sets = [
-            PrecoderSet(
+            PrecoderSet.from_parts(
                 rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t),
                 rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k)),
                 order,
             )
             for _ in range(6)
         ]
-        stacked = _stream_powers(strategy, samples, _stacked_columns(sets), order)
+        stacked = _stream_powers(strategy, samples, np.stack([p.rows for p in sets]), order)
         reports = sampled_average_rates(strategy, samples, sets)
         assert len(reports) == len(sets)
         for b, prec in enumerate(sets):
-            alone = _stream_powers(strategy, samples, _stacked_columns([prec]), order)
+            alone = _stream_powers(strategy, samples, prec.rows[None], order)
             for in_stack, by_itself in zip(stacked, alone):
                 assert in_stack[b].tobytes() == by_itself[0].tobytes()
             (report,) = sampled_average_rates(strategy, samples, [prec])
@@ -282,7 +282,7 @@ class TestStackedKernel:
     def test_sets_must_share_one_order(self):
         cfg, est, s = small_sample_set(m=4)
         private = np.column_stack([cvec(2, 0), cvec(1, 2)])
-        sets = [PrecoderSet(cvec(1, 1), private, (0, 1)), PrecoderSet(cvec(1, 1), private, (1, 0))]
+        sets = [PrecoderSet.from_parts(cvec(1, 1), private, (0, 1)), PrecoderSet.from_parts(cvec(1, 1), private, (1, 0))]
         with pytest.raises(ValueError):
             sampled_average_rates(Strategy.DPC, s, sets)
 
@@ -290,13 +290,53 @@ class TestStackedKernel:
 class TestPrecoderSetValidation:
     def test_order_must_be_permutation(self):
         with pytest.raises(ValueError):
-            PrecoderSet(cvec(1, 0), np.zeros((2, 2), complex), (0, 0))
+            PrecoderSet.from_parts(cvec(1, 0), np.zeros((2, 2), complex), (0, 0))
 
     def test_missing_order_raises_for_dpc(self):
-        prec = PrecoderSet(cvec(0, 0), np.ones((2, 2), complex))
+        prec = PrecoderSet.from_parts(cvec(0, 0), np.ones((2, 2), complex))
         with pytest.raises(ValueError):
             instantaneous_private_rate(Strategy.DPC, cvec(1, 0), cvec(0, 0), prec, 0)
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
             ChannelEstimate(np.array([np.inf + 0j, 0j]).reshape(2, 1))
+
+    def test_rows_must_be_a_matrix_with_a_user(self):
+        with pytest.raises(ValueError):
+            PrecoderSet(np.ones(3, complex))
+        with pytest.raises(ValueError):
+            PrecoderSet(np.ones((1, 3), complex))       # p_c alone: K = 0
+
+
+class TestPrecoderLayout:
+    """A set is its values: the memory layout of the parts it was built from never shows."""
+
+    def test_rows_and_power_do_not_depend_on_the_layout(self):
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            n_t, k = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+            order = tuple(int(j) for j in rng.permutation(k))
+            common = rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t)
+            private = rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k))
+            wide = np.zeros((n_t, 2 * k), complex)
+            wide[:, ::2] = private
+            layouts = [np.ascontiguousarray(private), np.asfortranarray(private), wide[:, ::2]]
+            sets = [PrecoderSet.from_parts(common, p, order) for p in layouts]
+            first = sets[0]
+            sets.append(PrecoderSet(np.asfortranarray(first.rows), order))
+            assert first.rows.flags.c_contiguous and first.rows.shape == (k + 1, n_t)
+            for prec in sets:
+                assert prec.rows.tobytes() == first.rows.tobytes()
+                assert np.float64(prec.total_power()).tobytes() == \
+                    np.float64(first.total_power()).tobytes()
+                assert prec.common.tobytes() == common.tobytes()
+                assert prec.private.tobytes() == layouts[0].tobytes()
+                assert prec.order == order
+
+            power = first.total_power()
+            assert first.capped(power) is first
+            assert first.capped(2.0 * power) is first
+            limit = power * rng.uniform(0.1, 0.99)
+            capped = first.capped(limit)
+            assert capped.rows.tobytes() == (first.rows * np.sqrt(limit / power)).tobytes()
+            assert capped.order == order

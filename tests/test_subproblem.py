@@ -36,13 +36,13 @@ def make_instance(seed=0, k=2, n_t=2, m=8, strategy=Strategy.DPCRS1, snr_db=20.0
         order = None
     elif order is None:
         order = tuple(range(k))
-    prec = PrecoderSet(
+    prec = PrecoderSet.from_parts(
         rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t),
         rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k)),
         order,
     )
     scale = np.sqrt(0.8 * cfg.transmit_power / prec.total_power())
-    prec = PrecoderSet(prec.common * scale, prec.private * scale, order)
+    prec = PrecoderSet.from_parts(prec.common * scale, prec.private * scale, order)
     g, w = update_equalizers_weights(strategy, samples, prec)
     coeffs = assemble_coefficients(strategy, samples, g, w, order)
     return cfg, samples, prec, coeffs, order
@@ -123,7 +123,7 @@ class TestBuildStructure:
         spec = build_subproblem(coeffs, u, np.zeros(2), 0.0, cfg.transmit_power)
         rng = np.random.default_rng(2)
         for _ in range(20):
-            p = PrecoderSet(
+            p = PrecoderSet.from_parts(
                 rng.standard_normal(2) + 1j * rng.standard_normal(2),
                 rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
                 order,
@@ -148,7 +148,7 @@ class TestBuildStructure:
             spec = build_subproblem(coeffs, np.ones(k), np.zeros(k), 0.0, cfg.transmit_power)
             rng = np.random.default_rng(k)
             for _ in range(2):
-                p = PrecoderSet(
+                p = PrecoderSet.from_parts(
                     rng.standard_normal(2) + 1j * rng.standard_normal(2),
                     rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k)),
                     order,
@@ -186,7 +186,7 @@ class TestSolve:
             # Random points near the assembly precoders (far-away points make
             # the surrogate common rate negative, leaving no feasible slack).
             t = rng.uniform(0.6, 1.0)
-            p = PrecoderSet(
+            p = PrecoderSet.from_parts(
                 prec.common * t + noise_scale * (rng.standard_normal(2) + 1j * rng.standard_normal(2)),
                 prec.private * t + noise_scale * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))),
                 order,
@@ -209,7 +209,7 @@ class TestSolve:
         cfg, samples, prec, coeffs, order = make_instance(seed=9)
         spec = build_subproblem(coeffs, np.ones(2), np.zeros(2), 0.0, cfg.transmit_power)
         sol_a = solve(spec, tol=1e-9, initial=prec)
-        rotated = PrecoderSet(
+        rotated = PrecoderSet.from_parts(
             prec.common * np.exp(1j * 1.1),
             prec.private * np.exp(1j * np.array([[0.4, -2.0]])),
             order,
@@ -410,7 +410,7 @@ class TestKktResidual:
         sol = solve(spec, tol=1e-8, initial=prec)
         at_opt = kkt_residual(spec, sol.precoders, sol.xhat, sol.multipliers)
         assert at_opt <= 1e-7
-        shrunk = PrecoderSet(
+        shrunk = PrecoderSet.from_parts(
             sol.precoders.common * 0.7, sol.precoders.private * 0.7, order
         )
         away = kkt_residual(spec, shrunk, sol.xhat - 0.05, sol.multipliers)

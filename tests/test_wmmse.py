@@ -41,7 +41,7 @@ def random_instance(rng, k=None, n_t=None, strategy=None):
     order = tuple(int(i) for i in rng.permutation(k)) if strategy.uses_dpc else None
     h = rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t)
     e = 0.4 * (rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t))
-    prec = PrecoderSet(
+    prec = PrecoderSet.from_parts(
         rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t),
         rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k)),
         order,
@@ -51,18 +51,18 @@ def random_instance(rng, k=None, n_t=None, strategy=None):
 
 class TestEffectivePowerT:
     def test_common_stream_noise_plus_signal(self):
-        prec = PrecoderSet(cvec(1, 0), np.zeros((2, 1), complex), (0,))
+        prec = PrecoderSet.from_parts(cvec(1, 0), np.zeros((2, 1), complex), (0,))
         T = effective_power_T(Strategy.RS1, COMMON, 0, cvec(1, 0), None, prec)
         assert T == pytest.approx(2.0)
 
     def test_all_zero_precoders(self):
-        prec = PrecoderSet(cvec(0, 0), np.zeros((2, 2), complex), (0, 1))
+        prec = PrecoderSet.from_parts(cvec(0, 0), np.zeros((2, 2), complex), (0, 1))
         for stream in (COMMON, PRIVATE):
             T = effective_power_T(Strategy.DPC, stream, 0, cvec(1, 1), cvec(0, 0), prec)
             assert T == pytest.approx(1.0)
 
     def test_dpc_last_encoded_no_residual(self):
-        prec = PrecoderSet(
+        prec = PrecoderSet.from_parts(
             cvec(0, 0), np.column_stack([cvec(1, 0), cvec(0, 2)]), (0, 1)
         )
         h = cvec(1, 1)
@@ -70,7 +70,7 @@ class TestEffectivePowerT:
         assert T == pytest.approx(abs(np.vdot(h, prec.private[:, 1])) ** 2 + 1.0)
 
     def test_private_excludes_common(self):
-        prec = PrecoderSet(cvec(10, 0), np.column_stack([cvec(1, 0), cvec(0, 1)]))
+        prec = PrecoderSet.from_parts(cvec(10, 0), np.column_stack([cvec(1, 0), cvec(0, 1)]))
         T = effective_power_T(Strategy.MULP, PRIVATE, 0, cvec(1, 0), None, prec)
         assert T == pytest.approx(2.0)  # own gain 1 + noise 1, common absent
 
@@ -154,7 +154,7 @@ class TestClosedForms:
 class TestRateWmmseIdentity:
     def test_worked_instance(self):
         # h=[1,0], p_c=[1,0], everything else zero, common stream.
-        prec = PrecoderSet(cvec(1, 0), np.zeros((2, 1), complex), (0,))
+        prec = PrecoderSet.from_parts(cvec(1, 0), np.zeros((2, 1), complex), (0,))
         xi, rate = rate_wmmse_identity_check(
             Strategy.DPCRS1, cvec(1, 0), cvec(0, 0), prec, COMMON, 0
         )
@@ -162,7 +162,7 @@ class TestRateWmmseIdentity:
         assert xi == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_precoder(self):
-        prec = PrecoderSet(cvec(0, 0), np.zeros((2, 1), complex), (0,))
+        prec = PrecoderSet.from_parts(cvec(0, 0), np.zeros((2, 1), complex), (0,))
         xi, rate = rate_wmmse_identity_check(
             Strategy.MULP, cvec(1, 0), None, prec, PRIVATE, 0
         )
@@ -220,7 +220,7 @@ class TestUpdate:
         rng = np.random.default_rng(31)
         cfg = SystemConfig(3, 2, 15.0, 0.5, (1.0, 0.5, 2.0), 5)
         s = draw_sample_set(cfg, draw_estimate(cfg, 0), 5, 0)
-        prec = PrecoderSet(
+        prec = PrecoderSet.from_parts(
             rng.standard_normal(2) + 1j * rng.standard_normal(2),
             rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)),
             (2, 0, 1),
@@ -263,7 +263,7 @@ class TestAssemble:
         dup = SampleSet(
             est, np.repeat(s1.errors, 6, axis=0), np.repeat(s1.realizations, 6, axis=0)
         )
-        prec = PrecoderSet(
+        prec = PrecoderSet.from_parts(
             rng.standard_normal(2) + 1j * rng.standard_normal(2),
             rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
             (1, 0),
@@ -283,7 +283,7 @@ class TestAssemble:
         cfg = SystemConfig(2, 3, 15.0, 0.4, (1.0, 0.5), 8)
         est = draw_estimate(cfg, 0)
         s = draw_sample_set(cfg, est, 12, 0)
-        prec = PrecoderSet(
+        prec = PrecoderSet.from_parts(
             rng.standard_normal(3) + 1j * rng.standard_normal(3),
             rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)),
             (0, 1),
@@ -318,7 +318,7 @@ class TestXiHat:
         est = draw_estimate(cfg, 0)
         s = draw_sample_set(cfg, est, m, 0)
         order = (0, 1) if strategy.uses_dpc else None
-        prec = PrecoderSet(
+        prec = PrecoderSet.from_parts(
             rng.standard_normal(2) + 1j * rng.standard_normal(2),
             rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
             order,
@@ -332,7 +332,7 @@ class TestXiHat:
             s, prec, g, w, coeffs = self._instance(seed, strategy)
             # Evaluate at a different precoder than the assembly point too.
             rng = np.random.default_rng(seed + 100)
-            other = PrecoderSet(
+            other = PrecoderSet.from_parts(
                 rng.standard_normal(2) + 1j * rng.standard_normal(2),
                 rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
                 prec.order,
@@ -356,7 +356,7 @@ class TestXiHat:
 
     def test_zero_precoders_reduce_to_constants(self):
         s, prec, g, w, coeffs = self._instance(10)
-        zeros = PrecoderSet(np.zeros(2, complex), np.zeros((2, 2), complex), (0, 1))
+        zeros = PrecoderSet.from_parts(np.zeros(2, complex), np.zeros((2, 2), complex), (0, 1))
         for user in range(2):
             t, w, nu = coeffs.t[PRIVATE, user], coeffs.w[PRIVATE, user], coeffs.nu[PRIVATE, user]
             assert xi_hat(coeffs, zeros, PRIVATE, user) == pytest.approx(
@@ -374,17 +374,17 @@ class TestXiHat:
         s, prec, g, w, coeffs = self._instance(12)
         rng = np.random.default_rng(55)
         for _ in range(40):
-            a = PrecoderSet(
+            a = PrecoderSet.from_parts(
                 rng.standard_normal(2) + 1j * rng.standard_normal(2),
                 rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
                 (0, 1),
             )
-            b = PrecoderSet(
+            b = PrecoderSet.from_parts(
                 rng.standard_normal(2) + 1j * rng.standard_normal(2),
                 rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
                 (0, 1),
             )
-            mid = PrecoderSet(0.5 * (a.common + b.common), 0.5 * (a.private + b.private), (0, 1))
+            mid = PrecoderSet.from_parts(0.5 * (a.common + b.common), 0.5 * (a.private + b.private), (0, 1))
             for user in range(2):
                 for stream in (COMMON, PRIVATE):
                     lhs = xi_hat(coeffs, mid, stream, user)
