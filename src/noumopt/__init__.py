@@ -21,9 +21,10 @@ from .channel import (
     error_variance,
 )
 from .strategies import (
+    COMMON,
+    PRIVATE,
     CommonRateAlloc,
     PrecoderSet,
-    RateReport,
     Strategy,
     sampled_average_rates,
     wasr,
@@ -36,8 +37,6 @@ from .subproblem import (
     solve,
 )
 from .wmmse import (
-    COMMON,
-    PRIVATE,
     QuadCoefficients,
     assemble_coefficients,
     update_equalizers_weights,

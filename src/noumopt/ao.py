@@ -14,22 +14,23 @@ enumeration (factorial in the number of users, capped at ``ORDER_CAP`` users).
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import ChannelEstimate, SampleSet, SystemConfig
 from .strategies import (
+    COMMON,
+    PRIVATE,
     CommonRateAlloc,
     PrecoderSet,
-    RateReport,
     Strategy,
+    capped_rows,
     sampled_average_rates,
     wasr,
 )
 from .subproblem import SubproblemSolution, build_subproblem, solve
-from .wmmse import COMMON, LN2, QuadCoefficients, assemble_coefficients, update_equalizers_weights
+from .wmmse import LN2, QuadCoefficients, assemble_coefficients, update_equalizers_weights
 
 # Common-stream surrogate rate below which the stream is treated as off
 # (only when no multicast rate is required); bounds the one-step WASR loss.
@@ -53,12 +54,12 @@ class AoConfig:
             raise ValueError("max_iterations must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AoResult:
     strategy: Strategy
     precoders: PrecoderSet
     alloc: CommonRateAlloc | None    # None only when infeasible
-    report: RateReport
+    rates: np.ndarray                # (2, K) sampled average rates, [stream, user]
     trace: tuple[float, ...]
     status: str                      # converged | max_iter | infeasible | rejected
     wasr: float
@@ -72,11 +73,15 @@ class AoResult:
     def order(self) -> tuple[int, ...] | None:
         return self.precoders.order
 
+    @property
+    def common_bound(self) -> float:
+        return float(np.min(self.rates[COMMON]))
+
     def totals(self) -> np.ndarray:
         """Per-user unicast totals; NaN for each user when infeasible (no allocation)."""
         if self.alloc is None:
-            return np.full(self.report.private_per_user.shape, np.nan)
-        return self.alloc.per_user + self.report.private_per_user
+            return np.full(self.rates.shape[1], np.nan)
+        return self.alloc.per_user + self.rates[PRIVATE]
 
 
 def matched_filters(h: np.ndarray, power_per_user: float) -> np.ndarray:
@@ -197,59 +202,60 @@ _EXTRAPOLATION_FACTORS = (1.5, 2.0, 3.0, 5.0, 8.0)
 
 def _greedy_alloc(
     strategy: Strategy,
-    reports: Sequence[RateReport],
+    rates: np.ndarray,
     weights: np.ndarray,
     multicast_threshold: float,
     unicast_thresholds: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """WASR-maximal allocation of the true common budget at fixed precoders, per report.
+    """WASR-maximal allocation of the true common budget at fixed precoders, per candidate.
 
+    ``rates`` is the (B, 2, K) ``sampled_average_rates`` of B candidates.
     The multicast part takes exactly its threshold (the full budget for the
     strategies with no common unicast parts), QoS shortfalls claim their
     minima, and the surplus goes to the maximum-weight users (split evenly
     on ties).  Returns the (B, K+1) allocations [C_0, C_1, ..., C_K], one
-    row per report, and a (B,) mask that is False where the budget cannot
-    cover the requirements or a user's total rate misses its QoS threshold.
-    The subproblem's own allocation is always feasible for this little LP,
-    so the greedy choice never loses WASR; re-allocating against the true
-    sampled bound (the surrogate bound can only lag it) is what lets the
-    common stream's rate be harvested at every iterate.  The reports are
-    allocated along one leading candidate axis, each row with the same
-    arithmetic as alone.
+    row per candidate with the same arithmetic as alone, and a (B,) mask that
+    is False where the budget cannot cover the requirements or a user's
+    total rate misses its QoS threshold.  The subproblem's own allocation is
+    always feasible for this little LP, so the greedy choice never loses
+    WASR; re-allocating against the true sampled bound (the surrogate bound
+    can only lag it) is what lets the common stream's rate be harvested at
+    every iterate.
     """
-    private = np.array([report.private_per_user for report in reports])    # (B, K)
-    bound = np.array([report.common_per_user for report in reports]).min(axis=-1)
+    private = rates[:, PRIVATE]                                 # (B, K)
+    bound = rates[:, COMMON].min(axis=-1)
     feasible = bound >= multicast_threshold - 1e-12
-    rates = np.zeros((len(reports), private.shape[1] + 1))
+    alloc = np.zeros((rates.shape[0], private.shape[1] + 1))
     if not strategy.has_common_unicast:
-        rates[:, 0] = bound
+        alloc[:, 0] = bound
     else:
-        rates[:, 0] = multicast_threshold
+        alloc[:, 0] = multicast_threshold
         lower = np.maximum(0.0, unicast_thresholds - private)
-        surplus = bound - rates[:, 0] - lower.sum(axis=-1)
+        surplus = bound - alloc[:, 0] - lower.sum(axis=-1)
         feasible &= surplus >= -1e-12
-        rates[:, 1:] = lower
+        alloc[:, 1:] = lower
         winners = np.flatnonzero(weights >= np.max(weights) - 1e-12)
-        rates[:, 1 + winners] += np.maximum(surplus, 0.0)[:, None] / winners.size
-    feasible &= ~np.any(rates[:, 1:] + private < unicast_thresholds - 1e-9, axis=-1)
-    return rates, feasible
+        alloc[:, 1 + winners] += np.maximum(surplus, 0.0)[:, None] / winners.size
+    feasible &= ~np.any(alloc[:, 1:] + private < unicast_thresholds - 1e-9, axis=-1)
+    return alloc, feasible
 
 
 def _score(
-    strategy: Strategy, samples: SampleSet, candidates: Sequence[PrecoderSet],
+    strategy: Strategy, samples: SampleSet, rows: np.ndarray, order: tuple[int, ...] | None,
     weights: np.ndarray, multicast_threshold: float, unicast_thresholds: np.ndarray,
-) -> tuple[list[float], np.ndarray, list[RateReport]]:
-    """True WASR of each candidate (-inf where it misses the rate constraints), with
-    the (B, K+1) ``_greedy_alloc`` allocations and the reports of one batched rating."""
-    reports = sampled_average_rates(strategy, samples, candidates)
-    rates, feasible = _greedy_alloc(
-        strategy, reports, weights, multicast_threshold, unicast_thresholds
+) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """True WASR of each of the (B, K+1, N_t) candidates (-inf where it misses the
+    rate constraints), with the (B, K+1) ``_greedy_alloc`` allocations and the
+    (B, 2, K) rates of one batched rating."""
+    rates = sampled_average_rates(strategy, samples, rows, order)
+    alloc, feasible = _greedy_alloc(
+        strategy, rates, weights, multicast_threshold, unicast_thresholds
     )
     values = [
-        wasr(weights, rates[b, 1:] + report.private_per_user) if feasible[b] else -np.inf
-        for b, report in enumerate(reports)
+        wasr(weights, alloc[b, 1:] + rates[b, PRIVATE]) if feasible[b] else -np.inf
+        for b in range(rates.shape[0])
     ]
-    return values, rates, reports
+    return values, alloc, rates
 
 
 def _candidate_state(
@@ -265,21 +271,22 @@ def _candidate_state(
     """Score a subproblem step and its extrapolations from ``previous`` as one batch.
 
     The candidates are the step itself and ``previous + gamma (step -
-    previous)`` for each ``_EXTRAPOLATION_FACTORS`` gamma, each scaled onto
-    the power budget when over it.  Returns (wasr, precoders, alloc, report)
-    of the first strict WASR maximum among those that meet the rate
-    constraints, or None when the step itself misses them.
+    previous)`` for each ``_EXTRAPOLATION_FACTORS`` gamma, one (6, K+1, N_t)
+    stack, each scaled onto the power budget when over it.  Returns (wasr,
+    precoders, alloc, rates) of the first strict WASR maximum among those
+    that meet the rate constraints, or None when the step itself misses them.
     """
-    probes = [PrecoderSet(previous.rows + gamma * (step.rows - previous.rows), step.order)
-              for gamma in _EXTRAPOLATION_FACTORS]
-    candidates = [precoders.capped(p_t) for precoders in [step] + probes]
-    values, rates, reports = _score(
-        strategy, samples, candidates, weights, multicast_threshold, unicast_thresholds
+    gammas = np.reshape(_EXTRAPOLATION_FACTORS, (-1, 1, 1))
+    probes = previous.rows + gammas * (step.rows - previous.rows)
+    rows = capped_rows(np.concatenate([step.rows[None], probes]), p_t)
+    values, alloc, rates = _score(
+        strategy, samples, rows, step.order, weights, multicast_threshold, unicast_thresholds
     )
     if values[0] == -np.inf:
         return None
     best = max(range(len(values)), key=values.__getitem__)   # max keeps the first of equals
-    return values[best], candidates[best], CommonRateAlloc(rates[best]), reports[best]
+    return (values[best], PrecoderSet(rows[best], step.order), CommonRateAlloc(alloc[best]),
+            rates[best])
 
 
 def _run_ao(
@@ -295,12 +302,11 @@ def _run_ao(
     order = precoders.order
     # A start that misses the rate constraints has the WASR of an infeasible
     # point, -inf; only an iterate that meets them may be returned.
-    (current,), rates, (report,) = _score(
-        strategy, samples, [precoders], weights, multicast_threshold, unicast_thresholds
-    )
-    alloc = None if current == -np.inf else CommonRateAlloc(rates[0])
+    (current,), allocs, (rates,) = _score(strategy, samples, precoders.rows[None], order,
+                                          weights, multicast_threshold, unicast_thresholds)
+    alloc = None if current == -np.inf else CommonRateAlloc(allocs[0])
     trace = [current]
-    start = (current, precoders, alloc, report)
+    start = (current, precoders, alloc, rates)
     best = None if alloc is None else start
     status = "max_iter"
     last_kkt = np.inf
@@ -309,7 +315,7 @@ def _run_ao(
     for _ in range(ao.max_iterations):
         g, w = update_equalizers_weights(strategy, samples, precoders)
         coeffs = assemble_coefficients(strategy, samples, g, w, order)
-        pin = _should_pin_common(strategy, multicast_threshold, coeffs, report.common_bound)
+        pin = _should_pin_common(strategy, multicast_threshold, coeffs, np.min(rates[COMMON]))
         spec = build_subproblem(
             coeffs, weights, unicast_thresholds, multicast_threshold, cfg.transmit_power,
             pin_common=pin,
@@ -329,18 +335,18 @@ def _run_ao(
             # more than the clamps can absorb; keep the best iterate.
             status = "rejected"
             break
-        current, precoders, alloc, report = step
+        current, precoders, alloc, rates = step
         trace.append(current)
         if best is None or current > best[0]:
-            best = (current, precoders, alloc, report)
+            best = step
         if abs(trace[-1] - trace[-2]) <= ao.convergence_eps:
             status = "converged"
             break
 
     if best is None:
         status, best = "infeasible", start
-    value, precoders, alloc, report = best
-    return AoResult(strategy, precoders, alloc, report, tuple(trace), status,
+    value, precoders, alloc, rates = best
+    return AoResult(strategy, precoders, alloc, rates, tuple(trace), status,
                     wasr=value, last_kkt_residual=last_kkt)
 
 

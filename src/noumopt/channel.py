@@ -14,7 +14,7 @@ numbers across CSIT-quality sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -66,7 +66,7 @@ class SystemConfig:
         return float(10.0 ** (self.snr_db / 10.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelEstimate:
     """Transmitter-side channel estimate, num_tx_antennas x num_users."""
 
@@ -87,38 +87,36 @@ class ChannelEstimate:
         return self.matrix.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Estimate plus M error draws and the implied channel realizations.
+    """Estimate plus M error draws, stored conjugated with the sample axis last.
 
-    realizations[m] = estimate + errors[m], entry-wise and exactly.
-    ``realizations_h`` and ``errors_h`` hold the same draws conjugated, in a
-    read-only C-contiguous (K, N_t, M) layout, sample axis last: entry
-    [k, n, m] is conj(realizations[m, n, k]), so ``p @ realizations_h[k]``
-    gives h_k^H p of every sample as one contiguous row.
+    ``SampleSet(estimate, errors)`` keeps the (M, N_t, K) error draws only as
+    ``errors_h``, a read-only C-contiguous (K, N_t, M) array whose entry
+    [k, n, m] is conj(errors[m, n, k]).  ``realizations_h`` is conj(estimate)^T
+    + ``errors_h`` in the same layout, so realization m is estimate + errors[m]
+    by construction, and ``p @ realizations_h[k]`` is h_k^H p of every sample.
     """
 
     estimate: ChannelEstimate
-    errors: np.ndarray        # (M, N_t, K)
-    realizations: np.ndarray  # (M, N_t, K)
+    errors: InitVar[np.ndarray]                                 # (M, N_t, K)
     errors_h: np.ndarray = field(init=False, repr=False)        # (K, N_t, M)
     realizations_h: np.ndarray = field(init=False, repr=False)  # (K, N_t, M)
 
-    def __post_init__(self):
-        if self.errors.shape != self.realizations.shape:
-            raise ValueError("errors and realizations must have equal shapes")
-        if self.errors.shape[0] < 1:
-            raise ValueError("sample count must be >= 1")
-        if self.errors.shape[1:] != self.estimate.matrix.shape:
+    def __post_init__(self, errors):
+        if errors.shape[1:] != self.estimate.matrix.shape:
             raise ValueError("sample shape must match the estimate")
-        for name in ("errors", "realizations"):
-            conjugated = np.conj(getattr(self, name).transpose(2, 1, 0), order="C")
+        if errors.shape[0] < 1:
+            raise ValueError("sample count must be >= 1")
+        errors_h = np.conj(errors.transpose(2, 1, 0), order="C")
+        realizations_h = np.add(np.conj(self.estimate.matrix).T[:, :, None], errors_h, order="C")
+        for name, conjugated in (("errors_h", errors_h), ("realizations_h", realizations_h)):
             conjugated.flags.writeable = False
-            object.__setattr__(self, name + "_h", conjugated)
+            object.__setattr__(self, name, conjugated)
 
     @property
     def sample_count(self) -> int:
-        return self.errors.shape[0]
+        return self.errors_h.shape[-1]
 
 
 def error_variance(cfg: SystemConfig, user: int) -> float:
@@ -173,5 +171,4 @@ def draw_sample_set(
         _stream(cfg, _ERROR_STREAM, realization_index),
         (sample_count, cfg.num_tx_antennas, cfg.num_users),
     )
-    errors = z * scales[np.newaxis, np.newaxis, :]
-    return SampleSet(estimate, errors, estimate.matrix[np.newaxis] + errors)
+    return SampleSet(estimate, z * scales[np.newaxis, np.newaxis, :])

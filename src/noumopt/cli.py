@@ -162,7 +162,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "wasr": _number(result.wasr) if feasible else None,
         "per_user_totals": [_number(t) for t in result.totals()] if feasible else None,
         "common_alloc": [_number(c) for c in result.alloc.rates] if feasible else None,
-        "common_bound": _number(result.report.common_bound) if feasible else None,
+        "common_bound": _number(result.common_bound) if feasible else None,
         "encoding_order": list(result.order) if result.order else None,
         "trace": [_number(t) for t in result.trace],
         "kkt_residual": _number(result.last_kkt_residual),

@@ -372,6 +372,8 @@ def run_region(spec: ExperimentSpec, threads: int = 1) -> list[ResultRecord]:
     """Two-user rate-region sweep over the weight grid (u1 = 1, u2 gridded)."""
     if spec.system.num_users != 2:
         raise ConfigError("rate-region mode requires exactly two users")
+    if spec.threshold_schedule is not None:
+        raise ConfigError("region reads unicast_thresholds, not threshold_schedule")
     thresholds = tuple(float(t) for t in spec.resolved_unicast_thresholds())
     points = [
         (spec.system.csit_alpha, float(u2), (1.0, float(u2)), thresholds)
@@ -386,6 +388,8 @@ def run_esr_alpha(spec: ExperimentSpec, threads: int = 1) -> list[ResultRecord]:
     The same master seed (hence the same underlying standard-normal draws)
     is reused at every alpha; only the error scaling changes.
     """
+    if spec.threshold_schedule is not None and spec.unicast_thresholds is not None:
+        raise ConfigError("set unicast_thresholds or threshold_schedule, not both")
     k = spec.system.num_users
     thresholds = tuple(float(t) for t in spec.resolved_unicast_thresholds())
     schedule = spec.threshold_schedule

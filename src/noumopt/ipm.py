@@ -38,7 +38,7 @@ _PD_MU = 10.0
 _BARRIER_MU = 20.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Quadratics:
     """Stacked quadratics f_i(z) = z' A_i z + b_i' z + c_i, one row per function.
 
@@ -66,7 +66,7 @@ class Quadratics:
         return 2.0 * self.A
 
 
-@dataclass
+@dataclass(eq=False)
 class IpmResult:
     z: np.ndarray
     lam: np.ndarray

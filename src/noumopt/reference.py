@@ -34,19 +34,17 @@ import numpy as np
 from .ao import AoConfig, matched_filters, optimize
 from .channel import SystemConfig, draw_estimate, draw_sample_set
 from .experiments import mean_and_se
-from .strategies import PrecoderSet, Strategy, sampled_average_rates, wasr
+from .strategies import COMMON, PRIVATE, PrecoderSet, Strategy, sampled_average_rates, wasr
 from .subproblem import build_subproblem, solve as solve_subproblem
-from .wmmse import (
-    COMMON,
-    LN2,
-    PRIVATE,
-    QuadCoefficients,
-    assemble_coefficients,
-    update_equalizers_weights,
-)
+from .wmmse import LN2, QuadCoefficients, assemble_coefficients, update_equalizers_weights
 
 # ---------------------------------------------------------------------------
 # Per-sample rates and powers
+
+
+def per_sample(rows_h: np.ndarray) -> np.ndarray:
+    """The (M, N_t, K) draws, [m, :, k] user k's in sample m, of a (K, N_t, M) ``_h`` layout."""
+    return np.conj(rows_h.transpose(2, 1, 0))
 
 
 def stream_powers(
@@ -234,8 +232,8 @@ def matched_filter_esr(
             np.zeros(cfg.num_tx_antennas, dtype=complex),
             matched_filters(estimate.matrix, cfg.transmit_power / k),
         )
-        (report,) = sampled_average_rates(Strategy.MULP, samples, [precoders])
-        values.append(wasr(np.ones(k), report.private_per_user))
+        (rates,) = sampled_average_rates(Strategy.MULP, samples, precoders.rows[None], None)
+        values.append(wasr(np.ones(k), rates[PRIVATE]))
     return mean_and_se(np.array(values))
 
 
@@ -305,16 +303,16 @@ def check_xi_hat_equivalence(seed: int, count: int) -> float:
         target = _random_precoders(rng, n_t, k, order)
         g, w = update_equalizers_weights(strategy, samples, assembly)
         coeffs = assemble_coefficients(strategy, samples, g, w, order)
+        channels, errors = per_sample(samples.realizations_h), per_sample(samples.errors_h)
         for user in range(k):
             for stream in (COMMON, PRIVATE):
                 p_i = target.common if stream == COMMON else target.private[:, user]
                 direct = np.mean([
                     weighted_mse_bits(
                         g[stream, user, m], w[stream, user, m],
-                        effective_power_T(strategy, stream, user,
-                                          samples.realizations[m, :, user],
-                                          samples.errors[m, :, user], target),
-                        samples.realizations[m, :, user], p_i,
+                        effective_power_T(strategy, stream, user, channels[m, :, user],
+                                          errors[m, :, user], target),
+                        channels[m, :, user], p_i,
                     )
                     for m in range(8)
                 ])

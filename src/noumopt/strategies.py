@@ -20,12 +20,15 @@ from __future__ import annotations
 
 import enum
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import SampleSet
+
+# Stream indices: the stream axis of every stacked rate and WMSE array.
+COMMON = 0
+PRIVATE = 1
 
 
 class Strategy(enum.Enum):
@@ -45,7 +48,7 @@ class Strategy(enum.Enum):
         return self in (Strategy.DPCRS1, Strategy.RS1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrecoderSet:
     """The precoder matrix P = [p_c, p_1, ..., p_K] as rows, and the encoding order.
 
@@ -92,14 +95,7 @@ class PrecoderSet:
         return self.rows.shape[0] - 1
 
     def total_power(self) -> float:
-        return float(np.sum(np.abs(self.rows[0]) ** 2) + np.sum(np.abs(self.rows[1:]) ** 2))
-
-    def capped(self, limit: float) -> PrecoderSet:
-        """This set when its total power is at most ``limit``, else it scaled onto ``limit``."""
-        power = self.total_power()
-        if power <= limit:
-            return self
-        return PrecoderSet(self.rows * np.sqrt(limit / power), self.order)
+        return float(total_powers(self.rows))
 
     def require_order(self) -> tuple[int, ...]:
         if self.order is None:
@@ -107,7 +103,24 @@ class PrecoderSet:
         return self.order
 
 
-@dataclass(frozen=True)
+def total_powers(rows: np.ndarray) -> np.ndarray:
+    """Total power of each (K+1, N_t) set of ``rows`` (..., K+1, N_t): p_c's part plus the rest."""
+    return (np.sum(np.abs(rows[..., 0, :]) ** 2, axis=-1)
+            + np.sum(np.abs(rows[..., 1:, :]) ** 2, axis=(-2, -1)))
+
+
+def capped_rows(rows: np.ndarray, limit: float) -> np.ndarray:
+    """The (B, K+1, N_t) sets, each over ``limit`` in power scaled onto it, the rest as is."""
+    power = total_powers(rows)
+    over = power > limit
+    if not over.any():
+        return rows
+    rows = rows.copy()
+    rows[over] *= np.sqrt(limit / power[over])[:, None, None]
+    return rows
+
+
+@dataclass(frozen=True, eq=False)
 class CommonRateAlloc:
     """Split of the common-stream rate: [C_0, C_1, ..., C_K] in bit/s/Hz.
 
@@ -130,19 +143,6 @@ class CommonRateAlloc:
     @property
     def per_user(self) -> np.ndarray:
         return self.rates[1:]
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Per-user sampled average rates of the common and private streams."""
-
-    common_per_user: np.ndarray   # (K,)
-    private_per_user: np.ndarray  # (K,)
-
-    @property
-    def common_bound(self) -> float:
-        """Largest common-stream rate decodable by every user."""
-        return float(np.min(self.common_per_user))
 
 
 # Most complex stream products one stacked rate evaluation forms, 2**14
@@ -240,27 +240,25 @@ def _stream_powers(
 def sampled_average_rates(
     strategy: Strategy,
     samples: SampleSet,
-    precoder_sets: Sequence[PrecoderSet],
-) -> list[RateReport]:
+    rows: np.ndarray,
+    order: tuple[int, ...] | None,
+) -> np.ndarray:
     """Arithmetic mean of the instantaneous rates over the M channel samples, per set.
 
-    The sets share one encoding order.  They are scored in stacked chunks of
-    at most ``_STACK_PRODUCTS`` stream products (at least one set), and one
-    at a time from a single sample, so one set's report is bit for bit the
-    same alone or among others.
+    ``rows`` stacks B sets' ``PrecoderSet.rows`` as (B, K+1, N_t); they share
+    the encoding ``order``.  Returns the (B, 2, K) rates indexed [set, stream,
+    user], stream ``COMMON`` or ``PRIVATE``.  The sets are scored in stacked
+    chunks of at most ``_STACK_PRODUCTS`` stream products (at least one set),
+    and one at a time from a single sample, so one set's rates are bit for bit
+    the same alone or among others.
     """
-    order = precoder_sets[0].order
-    if any(precoders.order != order for precoders in precoder_sets):
-        raise ValueError("the precoder sets must share one encoding order")
     k_users, _, m = samples.realizations_h.shape
     chunk = 1 if m == 1 else max(1, _STACK_PRODUCTS // (k_users * (k_users + 1) * m))
-    reports = []
-    for first in range(0, len(precoder_sets), chunk):
-        rows = np.stack([precoders.rows for precoders in precoder_sets[first:first + chunk]])
-        _, signal, noise = _stream_powers(strategy, samples, rows, order)
-        rates = np.log2(1.0 + signal / noise).mean(axis=-1)
-        reports += [RateReport(common, private) for common, private in rates]
-    return reports
+    rates = np.empty((rows.shape[0], 2, k_users))
+    for first in range(0, rows.shape[0], chunk):
+        _, signal, noise = _stream_powers(strategy, samples, rows[first:first + chunk], order)
+        rates[first:first + chunk] = np.log2(1.0 + signal / noise).mean(axis=-1)
+    return rates
 
 
 def wasr(weights: np.ndarray, totals: np.ndarray) -> float:

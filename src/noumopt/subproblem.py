@@ -30,15 +30,15 @@ import numpy as np
 
 # solve_barrier is not called here (phase-1 calls it in ipm); benchmark/spans.py binds the name.
 from .ipm import Quadratics, find_strictly_feasible, kkt_parts, solve_barrier, solve_primal_dual
-from .strategies import PrecoderSet, interference_masks
-from .wmmse import COMMON, LN2, PRIVATE, QuadCoefficients
+from .strategies import COMMON, PRIVATE, PrecoderSet, capped_rows, interference_masks
+from .wmmse import LN2, QuadCoefficients
 
 _PSD_TOL = -1e-9
 # Share of the power budget that the interior candidate's precoders stay below.
 _CANDIDATE_POWER_MARGIN = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubproblemSpec:
     """Compiled QCQP plus the thresholds and sizes its solver needs."""
 
@@ -74,7 +74,7 @@ class SubproblemSpec:
         return precoders, z[self.slack_offset :].copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubproblemSolution:
     status: str                         # optimal | max_iter | infeasible (the defaults)
     precoders: PrecoderSet | None = None
@@ -216,9 +216,9 @@ def _interior_candidate(
     """Heuristic strictly-feasible candidate: shrink the precoders inside the
     power ball, then place the slacks halfway into their feasible interval."""
     k = spec.num_users
-    if precoders is None:
-        precoders = PrecoderSet(np.zeros((k + 1, spec.num_tx), complex), spec.order)
-    precoders = precoders.capped(spec.power_budget * (1.0 - _CANDIDATE_POWER_MARGIN))
+    rows = np.zeros((k + 1, spec.num_tx), complex) if precoders is None else precoders.rows
+    limit = spec.power_budget * (1.0 - _CANDIDATE_POWER_MARGIN)
+    precoders = PrecoderSet(capped_rows(rows[None], limit)[0], spec.order)
     if spec.num_slack == 0:
         return spec.pack(precoders, np.zeros(0))
 

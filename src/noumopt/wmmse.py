@@ -13,11 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SampleSet
-from .strategies import PrecoderSet, Strategy, _abs2, _stream_powers
-
-# Stream indices: the stream axis of every stacked WMSE array.
-COMMON = 0
-PRIVATE = 1
+from .strategies import PRIVATE, PrecoderSet, Strategy, _abs2, _stream_powers
 
 LN2 = float(np.log(2.0))
 
@@ -41,7 +37,7 @@ def update_equalizers_weights(
     return hp.conj() / t, t / noise     # w = 1/MMSE = T / (T - signal)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadCoefficients:
     """Sample-averaged WMSE constants of every (stream, user), stream axis first.
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from noumopt import (
+    PRIVATE,
     AoConfig,
     CommonRateAlloc,
     PrecoderSet,
@@ -223,7 +224,7 @@ class TestMonotonicityAndStatus:
         )
         assert res.status == "converged"
         assert np.all(res.alloc.rates >= 0)
-        assert res.alloc.rates.sum() <= res.report.common_bound + 1e-7
+        assert res.alloc.rates.sum() <= res.common_bound + 1e-7
         assert res.alloc.multicast >= 0.3 - 1e-9
         assert np.all(res.totals() >= 0.2 - 1e-6)
         assert res.precoders.total_power() <= cfg.transmit_power + 1e-7
@@ -239,7 +240,7 @@ class TestLadder:
 
     @staticmethod
     def _one_at_a_time(strategy, samples, previous, step, weights, multicast, unicast, p_t):
-        """(best state or None, [(report, WASR or None if infeasible)] per candidate)."""
+        """(best state or None, [((2, K) rates, WASR or None if infeasible)] per candidate)."""
         best, scored = None, []
         for gamma in (1.0,) + ao_module._EXTRAPOLATION_FACTORS:
             prec = step if gamma == 1.0 else PrecoderSet.from_parts(
@@ -251,15 +252,15 @@ class TestLadder:
             if power > p_t:
                 scale = np.sqrt(p_t / power)
                 prec = PrecoderSet.from_parts(prec.common * scale, prec.private * scale, prec.order)
-            (report,) = sampled_average_rates(strategy, samples, [prec])
-            rates, ok = ao_module._greedy_alloc(strategy, [report], weights, multicast, unicast)
+            rates = sampled_average_rates(strategy, samples, prec.rows[None], prec.order)
+            allocs, ok = ao_module._greedy_alloc(strategy, rates, weights, multicast, unicast)
             value = None
             if ok[0]:
-                alloc = CommonRateAlloc(rates[0])
-                value = wasr(weights, alloc.per_user + report.private_per_user)
+                alloc = CommonRateAlloc(allocs[0])
+                value = wasr(weights, alloc.per_user + rates[0, PRIVATE])
                 if best is None or value > best[0]:
-                    best = (value, prec, alloc, report)
-            scored.append((report, value))
+                    best = (value, prec, alloc, rates[0])
+            scored.append((rates[0], value))
         return (best if scored[0][1] is not None else None), scored
 
     @staticmethod
@@ -269,9 +270,7 @@ class TestLadder:
             return
         assert got[0] == want[0]
         pairs = [(got[1].common, want[1].common), (got[1].private, want[1].private),
-                 (got[2].rates, want[2].rates),
-                 (got[3].common_per_user, want[3].common_per_user),
-                 (got[3].private_per_user, want[3].private_per_user)]
+                 (got[2].rates, want[2].rates), (got[3], want[3])]
         for a, b in pairs:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -310,7 +309,7 @@ class TestLadder:
     def _user_0_rates(self):
         """User 0's private rate at each candidate, with no QoS threshold."""
         _, scored = self._one_at_a_time(*self._sign_flip_ladder(0.0))
-        return [report.private_per_user[0] for report, _ in scored]
+        return [rates[PRIVATE, 0] for rates, _ in scored]
 
     @staticmethod
     def _feasible(scored):
@@ -443,7 +442,7 @@ class TestOrders:
         est = ChannelEstimate(np.column_stack([col, col]))
         err_col = 0.25 * (rng.standard_normal((m, n_t)) + 1j * rng.standard_normal((m, n_t)))
         errors = np.stack([err_col, err_col], axis=2)
-        samples = SampleSet(est, errors, est.matrix[None] + errors)
+        samples = SampleSet(est, errors)
         cfg = SystemConfig(2, n_t, 15.0, 0.6, (1.0, 1.0), 0)
         ao = quick_ao(max_iterations=40)
         res_a = optimize(cfg, Strategy.DPC, est, samples, np.ones(2), order=(0, 1), ao=ao)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from noumopt import (
+    SampleSet,
     SystemConfig,
     draw_estimate,
     draw_sample_set,
     error_variance,
 )
+from noumopt.reference import per_sample
 
 
 def make_cfg(**kwargs):
@@ -119,36 +121,50 @@ class TestSampleSet:
             draw_sample_set(cfg, est, 0, 0)
 
     def test_reconstruction_identity_exact(self):
+        # realizations_h is, byte for byte, the conjugated sample-last layout
+        # of estimate + errors[m] formed sample by sample.
         cfg = make_cfg()
         est = draw_estimate(cfg, 0)
         s = draw_sample_set(cfg, est, 64, 0)
-        assert np.array_equal(s.realizations, est.matrix[np.newaxis] + s.errors)
+        realizations = est.matrix[np.newaxis] + per_sample(s.errors_h)
+        assert s.realizations_h.tobytes() == \
+            np.conj(realizations.transpose(2, 1, 0), order="C").tobytes()
 
     def test_conjugated_layouts_exact_and_read_only(self):
         cfg = make_cfg(num_users=3, num_tx_antennas=4, channel_variances=(1.0, 0.5, 2.0))
-        s = draw_sample_set(cfg, draw_estimate(cfg, 0), 7, 0)
-        for stored, conjugated in ((s.realizations, s.realizations_h), (s.errors, s.errors_h)):
+        est = draw_estimate(cfg, 0)
+        errors = draw_sample_set(cfg, est, 7, 0).errors_h.conj().transpose(2, 1, 0)
+        s = SampleSet(est, errors)
+        assert s.sample_count == 7
+        for stored, conjugated in ((est.matrix + errors, s.realizations_h), (errors, s.errors_h)):
             assert conjugated.shape == (3, 4, 7)   # user, antenna, sample
-            assert np.array_equal(conjugated, stored.conj().transpose(2, 1, 0))
+            assert conjugated.tobytes() == np.conj(stored.transpose(2, 1, 0), order="C").tobytes()
             assert conjugated.flags.c_contiguous
             with pytest.raises(ValueError):
                 conjugated[0, 0, 0] = 0.0
-        assert not [name for name, value in vars(s).items() if np.shape(value) == (7, 3, 4)]
+        assert not [name for name, value in vars(s).items() if np.shape(value) == (7, 4, 3)]
+
+    def test_rejects_samples_that_do_not_fit_the_estimate(self):
+        est = draw_estimate(make_cfg(), 0)
+        with pytest.raises(ValueError):
+            SampleSet(est, np.zeros((0, 2, 2), complex))
+        with pytest.raises(ValueError):
+            SampleSet(est, np.zeros((4, 2, 3), complex))
 
     def test_deterministic(self):
         cfg = make_cfg()
         est = draw_estimate(cfg, 1)
         a = draw_sample_set(cfg, est, 16, 1)
         b = draw_sample_set(cfg, est, 16, 1)
-        assert np.array_equal(a.errors, b.errors)
-        assert np.array_equal(a.realizations, b.realizations)
+        assert np.array_equal(a.errors_h, b.errors_h)
+        assert np.array_equal(a.realizations_h, b.realizations_h)
 
     def test_zero_error_limit(self):
         cfg = make_cfg(csit_alpha=1e6)
         est = draw_estimate(cfg, 0)
         s = draw_sample_set(cfg, est, 1, 0)
-        assert np.all(s.errors == 0)
-        assert np.array_equal(s.realizations[0], est.matrix)
+        assert np.all(s.errors_h == 0)
+        assert np.array_equal(per_sample(s.realizations_h)[0], est.matrix)
 
     def test_error_mean_near_zero(self):
         cfg = make_cfg()
@@ -158,7 +174,7 @@ class TestSampleSet:
         sigma_e = np.sqrt(error_variance(cfg, 0))
         # Mean of M i.i.d. draws: |mean| within 3 sigma_e/sqrt(M) per part.
         tol = 3.0 * sigma_e / np.sqrt(m)
-        means = s.errors.mean(axis=0)
+        means = per_sample(s.errors_h).mean(axis=0)
         assert np.all(np.abs(means.real) < tol)
         assert np.all(np.abs(means.imag) < tol)
 
@@ -168,7 +184,7 @@ class TestSampleSet:
         s = draw_sample_set(cfg, est, 10000, 0)
         for k in range(2):
             target = error_variance(cfg, k)
-            measured = np.mean(np.abs(s.errors[:, :, k]) ** 2)
+            measured = np.mean(np.abs(s.errors_h[k]) ** 2)
             assert measured == pytest.approx(target, rel=0.05)
 
     def test_common_random_numbers_across_alpha(self):
@@ -181,4 +197,4 @@ class TestSampleSet:
         s_a = draw_sample_set(cfg_a, est_a, 8, 2)
         s_b = draw_sample_set(cfg_b, est_b, 8, 2)
         ratio = np.sqrt(error_variance(cfg_b, 0) / error_variance(cfg_a, 0))
-        assert np.allclose(s_b.errors, s_a.errors * ratio, rtol=1e-12)
+        assert np.allclose(s_b.errors_h, s_a.errors_h * ratio, rtol=1e-12)

@@ -154,6 +154,12 @@ class TestExitCodes:
                      "config error", id="snr-power-overflow"),
         pytest.param("solve", {"system": {**GOOD["system"], "snr_db": 4000}}, [],
                      "config error", id="solve-snr-power-overflow"),
+        # A threshold setting that the chosen sweep would not read.
+        pytest.param("region", {"threshold_schedule": [5.0]}, [], "config error",
+                     id="region-threshold-schedule"),
+        pytest.param("esr-alpha", {"alpha_grid": [0.5], "unicast_thresholds": [5.0, 5.0],
+                                   "threshold_schedule": [0.0]},
+                     [], "config error", id="esr-alpha-both-thresholds"),
     ])
     def test_rejected_before_any_task(self, tmp_path, monkeypatch, capsys, command, update,
                                       flags, message):

@@ -333,7 +333,7 @@ class TestEsrAlphaRun:
         cfg = spec.system
         est = draw_estimate(cfg, 0)
         samples = draw_sample_set(cfg, est, 1, 0)
-        assert np.all(samples.errors == 0)
+        assert np.all(samples.errors_h == 0)
         res = optimize_strategy(cfg, Strategy.DPC, est, samples, np.ones(2), ao=spec.ao)
         assert records[0].esr == pytest.approx(res.wasr, abs=1e-12)
 

@@ -31,6 +31,7 @@ from noumopt.reference import (
     instantaneous_private_rate,
     mmse_equalizer,
     mmse_weight,
+    per_sample,
 )
 
 RTOL = 1e-12
@@ -43,19 +44,19 @@ def assert_close(actual, expected):
 
 def check_kernels(strategy, samples, common, private):
     """Every kernel output for every encoding order against the per-sample oracles."""
-    m, _, k = samples.realizations.shape
+    channels, errors = per_sample(samples.realizations_h), per_sample(samples.errors_h)
+    m, _, k = channels.shape
     orders = itertools.permutations(range(k)) if strategy.uses_dpc else [None]
     for order in orders:
         prec = PrecoderSet.from_parts(common, private, order)
-        (report,) = sampled_average_rates(strategy, samples, [prec])
+        (rates,) = sampled_average_rates(strategy, samples, prec.rows[None], order)
         g_all, w_all = update_equalizers_weights(strategy, samples, prec)
         coeffs = assemble_coefficients(strategy, samples, g_all, w_all, order)
         assert coeffs.phi.shape == (k, common.shape[0], common.shape[0])   # private streams only
         for user in range(k):
-            draws = [(samples.realizations[i, :, user], samples.errors[i, :, user])
-                     for i in range(m)]
+            draws = [(channels[i, :, user], errors[i, :, user]) for i in range(m)]
             assert_close(
-                [report.common_per_user[user], report.private_per_user[user]],
+                rates[:, user],
                 [np.mean([instantaneous_common_rate(strategy, h, e, prec) for h, e in draws]),
                  np.mean([instantaneous_private_rate(strategy, h, e, prec, user)
                           for h, e in draws])],

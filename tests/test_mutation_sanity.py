@@ -21,6 +21,7 @@ from noumopt import (
 from noumopt.reference import (
     effective_power_T,
     mmse_equalizer,
+    per_sample,
     weighted_mse_bits,
     xi_hat,
 )
@@ -67,6 +68,7 @@ def test_omitted_later_interference_breaks_xi_hat_equivalence():
     def quad(mat, p):
         return float(np.real(np.vdot(p, mat @ p)))
 
+    channels, errors = per_sample(samples.realizations_h), per_sample(samples.errors_h)
     omega_wrong = quad(coeffs.psi[PRIVATE, user], prec.private[:, user])  # later terms dropped
     xi_wrong = (
         omega_wrong + coeffs.t[PRIVATE, user]
@@ -77,9 +79,8 @@ def test_omitted_later_interference_breaks_xi_hat_equivalence():
         weighted_mse_bits(
             g[PRIVATE, user, m], w[PRIVATE, user, m],
             effective_power_T(Strategy.DPCRS1, PRIVATE, user,
-                              samples.realizations[m, :, user],
-                              samples.errors[m, :, user], prec),
-            samples.realizations[m, :, user], prec.private[:, user],
+                              channels[m, :, user], errors[m, :, user], prec),
+            channels[m, :, user], prec.private[:, user],
         )
         for m in range(8)
     ])

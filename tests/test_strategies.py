@@ -1,27 +1,41 @@
+import copy
 import itertools
 
 import numpy as np
 import pytest
 
 from noumopt import (
+    COMMON,
+    PRIVATE,
+    AoResult,
     CommonRateAlloc,
     PrecoderSet,
-    RateReport,
     SampleSet,
     Strategy,
     SystemConfig,
+    assemble_coefficients,
+    build_subproblem,
     draw_estimate,
     draw_sample_set,
     sampled_average_rates,
+    solve,
+    update_equalizers_weights,
     wasr,
 )
 from noumopt.channel import ChannelEstimate
-from noumopt.reference import instantaneous_common_rate, instantaneous_private_rate
-from noumopt.strategies import _stream_powers, interference_masks
+from noumopt.ipm import solve_primal_dual
+from noumopt.reference import instantaneous_common_rate, instantaneous_private_rate, per_sample
+from noumopt.strategies import _stream_powers, capped_rows, interference_masks, total_powers
 
 
 def cvec(*entries):
     return np.array(entries, dtype=complex)
+
+
+def rates_of(strategy, samples, prec):
+    """The (2, K) sampled average rates of one set, scored alone."""
+    (rates,) = sampled_average_rates(strategy, samples, prec.rows[None], prec.order)
+    return rates
 
 
 class TestCommonRate:
@@ -141,38 +155,35 @@ class TestSampledAverages:
     def test_single_sample_equals_instantaneous(self):
         cfg, est, s = small_sample_set(m=1)
         prec = PrecoderSet.from_parts(cvec(1, 1), np.column_stack([cvec(2, 0), cvec(0, 2)]), (0, 1))
-        (rep,) = sampled_average_rates(Strategy.DPCRS1, s, [prec])
+        rates = rates_of(Strategy.DPCRS1, s, prec)
+        channels, errors = per_sample(s.realizations_h), per_sample(s.errors_h)
         for k in range(2):
             inst_c = instantaneous_common_rate(
-                Strategy.DPCRS1, s.realizations[0, :, k], s.errors[0, :, k], prec
+                Strategy.DPCRS1, channels[0, :, k], errors[0, :, k], prec
             )
             inst_p = instantaneous_private_rate(
-                Strategy.DPCRS1, s.realizations[0, :, k], s.errors[0, :, k], prec, k
+                Strategy.DPCRS1, channels[0, :, k], errors[0, :, k], prec, k
             )
-            assert rep.common_per_user[k] == pytest.approx(inst_c, abs=1e-12)
-            assert rep.private_per_user[k] == pytest.approx(inst_p, abs=1e-12)
+            assert rates[COMMON, k] == pytest.approx(inst_c, abs=1e-12)
+            assert rates[PRIVATE, k] == pytest.approx(inst_p, abs=1e-12)
 
     def test_zero_error_any_m(self):
         cfg = SystemConfig(2, 2, 15.0, 1e6, (1.0, 1.0), 3)
         est = draw_estimate(cfg, 0)
         prec = PrecoderSet.from_parts(cvec(1, 0), np.column_stack([cvec(2, 0), cvec(0, 2)]), (0, 1))
-        (rep1,) = sampled_average_rates(Strategy.RS1, draw_sample_set(cfg, est, 1, 0), [prec])
-        (rep8,) = sampled_average_rates(Strategy.RS1, draw_sample_set(cfg, est, 8, 0), [prec])
-        assert np.allclose(rep1.common_per_user, rep8.common_per_user, atol=1e-12)
-        assert np.allclose(rep1.private_per_user, rep8.private_per_user, atol=1e-12)
+        rates1 = rates_of(Strategy.RS1, draw_sample_set(cfg, est, 1, 0), prec)
+        rates8 = rates_of(Strategy.RS1, draw_sample_set(cfg, est, 8, 0), prec)
+        assert np.allclose(rates1[COMMON], rates8[COMMON], atol=1e-12)
+        assert np.allclose(rates1[PRIVATE], rates8[PRIVATE], atol=1e-12)
 
     def test_duplicated_samples(self):
         cfg, est, s = small_sample_set(m=1)
-        dup = SampleSet(
-            est,
-            np.repeat(s.errors, 5, axis=0),
-            np.repeat(s.realizations, 5, axis=0),
-        )
+        dup = SampleSet(est, np.repeat(per_sample(s.errors_h), 5, axis=0))
         prec = PrecoderSet.from_parts(cvec(1, 1), np.column_stack([cvec(2, 0), cvec(1, 2)]), (1, 0))
-        (a,) = sampled_average_rates(Strategy.DPC, s, [prec])
-        (b,) = sampled_average_rates(Strategy.DPC, dup, [prec])
-        assert np.allclose(a.common_per_user, b.common_per_user, atol=1e-12)
-        assert np.allclose(a.private_per_user, b.private_per_user, atol=1e-12)
+        a = rates_of(Strategy.DPC, s, prec)
+        b = rates_of(Strategy.DPC, dup, prec)
+        assert np.allclose(a[COMMON], b[COMMON], atol=1e-12)
+        assert np.allclose(a[PRIVATE], b[PRIVATE], atol=1e-12)
 
     def test_all_rates_nonnegative_finite(self):
         cfg, est, s = small_sample_set(m=16)
@@ -183,23 +194,13 @@ class TestSampledAverages:
             (0, 1),
         )
         for strat in Strategy:
-            (rep,) = sampled_average_rates(strat, s, [prec])
-            assert np.all(rep.common_per_user >= 0)
-            assert np.all(rep.private_per_user >= 0)
-            assert np.all(np.isfinite(rep.common_per_user))
-            assert np.all(np.isfinite(rep.private_per_user))
+            rates = rates_of(strat, s, prec)
+            assert rates.shape == (2, 2)
+            assert np.all(rates >= 0)
+            assert np.all(np.isfinite(rates))
 
 
 class TestBoundAllocAndWasr:
-    def test_common_bound(self):
-        rep = RateReport(np.array([2.0, 1.5, 1.7]), np.zeros(3))
-        assert rep.common_bound == 1.5
-        rep_eq = RateReport(np.array([1.2, 1.2]), np.zeros(2))
-        assert rep_eq.common_bound == 1.2
-        rep_one = RateReport(np.array([0.8]), np.zeros(1))
-        assert rep_one.common_bound == 0.8
-        assert rep.common_bound <= np.min(rep.common_per_user)
-
     def test_negative_alloc_rejected(self):
         with pytest.raises(ValueError):
             CommonRateAlloc(np.array([-0.1, 0.5, 0.5]))
@@ -260,31 +261,16 @@ class TestStackedKernel:
         est = draw_estimate(cfg, 0)
         samples = draw_sample_set(cfg, est, m, 0)
         order = tuple(int(j) for j in rng.permutation(k))
-        sets = [
-            PrecoderSet.from_parts(
-                rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t),
-                rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k)),
-                order,
-            )
-            for _ in range(6)
-        ]
-        stacked = _stream_powers(strategy, samples, np.stack([p.rows for p in sets]), order)
-        reports = sampled_average_rates(strategy, samples, sets)
-        assert len(reports) == len(sets)
-        for b, prec in enumerate(sets):
-            alone = _stream_powers(strategy, samples, prec.rows[None], order)
+        rows = rng.standard_normal((6, k + 1, n_t)) + 1j * rng.standard_normal((6, k + 1, n_t))
+        stacked = _stream_powers(strategy, samples, rows, order)
+        rates = sampled_average_rates(strategy, samples, rows, order)
+        assert rates.shape == (6, 2, k)
+        for b in range(6):
+            alone = _stream_powers(strategy, samples, rows[b:b + 1], order)
             for in_stack, by_itself in zip(stacked, alone):
                 assert in_stack[b].tobytes() == by_itself[0].tobytes()
-            (report,) = sampled_average_rates(strategy, samples, [prec])
-            assert reports[b].common_per_user.tobytes() == report.common_per_user.tobytes()
-            assert reports[b].private_per_user.tobytes() == report.private_per_user.tobytes()
-
-    def test_sets_must_share_one_order(self):
-        cfg, est, s = small_sample_set(m=4)
-        private = np.column_stack([cvec(2, 0), cvec(1, 2)])
-        sets = [PrecoderSet.from_parts(cvec(1, 1), private, (0, 1)), PrecoderSet.from_parts(cvec(1, 1), private, (1, 0))]
-        with pytest.raises(ValueError):
-            sampled_average_rates(Strategy.DPC, s, sets)
+            prec = PrecoderSet(rows[b], order)
+            assert rates[b].tobytes() == rates_of(strategy, samples, prec).tobytes()
 
 
 class TestPrecoderSetValidation:
@@ -333,10 +319,64 @@ class TestPrecoderLayout:
                 assert prec.private.tobytes() == layouts[0].tobytes()
                 assert prec.order == order
 
-            power = first.total_power()
-            assert first.capped(power) is first
-            assert first.capped(2.0 * power) is first
-            limit = power * rng.uniform(0.1, 0.99)
-            capped = first.capped(limit)
-            assert capped.rows.tobytes() == (first.rows * np.sqrt(limit / power)).tobytes()
-            assert capped.order == order
+    def test_stacked_power_and_cap_equal_the_per_set_formula(self):
+        # The per-set formula: p_c's power plus the private power, and a set
+        # over the limit scaled by sqrt(limit / power).
+        rng = np.random.default_rng(25)
+        for _ in range(300):
+            b, k, n_t = (int(rng.integers(1, 7)), int(rng.integers(1, 6)),
+                         int(rng.integers(1, 12)))
+            rows = rng.standard_normal((b, k + 1, n_t)) + 1j * rng.standard_normal((b, k + 1, n_t))
+            rows *= rng.uniform(0.1, 3.0, (b, 1, 1))
+            rows[rng.integers(b)] = 0.0                 # a zero-power candidate
+            powers = [float(np.sum(np.abs(r[0]) ** 2) + np.sum(np.abs(r[1:]) ** 2)) for r in rows]
+            stacked = total_powers(rows)
+            assert stacked.shape == (b,)
+            for power, candidate, got in zip(powers, rows, stacked):
+                assert np.float64(power).tobytes() == got.tobytes()
+                assert np.float64(PrecoderSet(candidate).total_power()).tobytes() == got.tobytes()
+            limit = float(np.median(powers))
+            capped = capped_rows(rows, limit)
+            assert capped.shape == rows.shape
+            for power, candidate, got in zip(powers, rows, capped):
+                want = candidate * np.sqrt(limit / power) if power > limit else candidate
+                assert got.tobytes() == want.tobytes()
+
+    def test_cap_scales_only_the_sets_over_the_limit(self):
+        rows = np.zeros((3, 3, 2), complex)
+        rows[1, 0, 0] = 2.0                             # power 4; the others have none
+        assert capped_rows(rows, 4.0) is rows
+        zeros = rows[[0, 2]]
+        assert capped_rows(zeros, 0.0) is zeros         # zero power is not over a zero limit
+        capped = capped_rows(rows, 1.0)
+        assert capped[1].tobytes() == (rows[1] * 0.5).tobytes()
+        assert capped[0].tobytes() == capped[2].tobytes() == rows[0].tobytes()
+        assert rows[1, 0, 0] == 2.0                     # the input is not written
+
+
+def _array_holders():
+    """One instance of every dataclass that holds arrays, from one small subproblem solve."""
+    cfg, est, samples = small_sample_set(m=4)
+    prec = PrecoderSet.from_parts(cvec(1, 0), np.column_stack([cvec(2, 0), cvec(0, 2)]), (0, 1))
+    g, w = update_equalizers_weights(Strategy.DPCRS1, samples, prec)
+    coeffs = assemble_coefficients(Strategy.DPCRS1, samples, g, w, (0, 1))
+    spec = build_subproblem(coeffs, np.ones(2), np.zeros(2), 0.1, cfg.transmit_power)
+    solution = solve(spec, initial=prec)
+    ipm = solve_primal_dual(spec.objective, spec.constraints, solution.start)
+    alloc = CommonRateAlloc(np.zeros(3))
+    result = AoResult(Strategy.DPCRS1, prec, alloc, rates_of(Strategy.DPCRS1, samples, prec),
+                      (0.0,), "converged", 0.0, 0.0)
+    return [prec, alloc, result, est, samples, coeffs, spec, solution, spec.constraints, ipm]
+
+
+class TestArrayHolders:
+    """The dataclasses that hold arrays compare and hash by identity."""
+
+    def test_identity_equality_and_hash(self):
+        holders = _array_holders()
+        assert len({type(holder).__name__ for holder in holders}) == 10
+        for holder in holders:
+            twin = copy.copy(holder)
+            assert holder == holder
+            assert holder != twin
+            assert len({holder, twin, holder}) == 2

@@ -21,6 +21,7 @@ from noumopt.reference import (
     mmse_equalizer,
     mmse_weight,
     mse,
+    per_sample,
     rate_wmmse_identity_check,
     weighted_mse_bits,
     weighted_mse_nats,
@@ -212,7 +213,7 @@ class TestNatsWmseOptimality:
 
 def manual_sample_set(realizations, errors):
     est = ChannelEstimate(realizations[0] - errors[0])
-    return SampleSet(est, errors, realizations)
+    return SampleSet(est, errors)
 
 
 class TestUpdate:
@@ -229,11 +230,12 @@ class TestUpdate:
         for arr in (g, w):
             assert arr.shape == (2, 3, 5)
             assert arr.flags.c_contiguous
+        channels, errors = per_sample(s.realizations_h), per_sample(s.errors_h)
         for stream in (COMMON, PRIVATE):
             for user in range(3):
                 p = prec.common if stream == COMMON else prec.private[:, user]
                 for m in range(5):
-                    h, e = s.realizations[m, :, user], s.errors[m, :, user]
+                    h, e = channels[m, :, user], errors[m, :, user]
                     T = effective_power_T(Strategy.DPCRS1, stream, user, h, e, prec)
                     assert g[stream, user, m] == pytest.approx(mmse_equalizer(h, p, T), rel=1e-12)
                     assert w[stream, user, m] == pytest.approx(mmse_weight(h, p, T), rel=1e-12)
@@ -260,9 +262,7 @@ class TestAssemble:
         cfg = SystemConfig(2, 2, 10.0, 0.5, (1.0, 1.0), 6)
         est = draw_estimate(cfg, 0)
         s1 = draw_sample_set(cfg, est, 1, 0)
-        dup = SampleSet(
-            est, np.repeat(s1.errors, 6, axis=0), np.repeat(s1.realizations, 6, axis=0)
-        )
+        dup = SampleSet(est, np.repeat(per_sample(s1.errors_h), 6, axis=0))
         prec = PrecoderSet.from_parts(
             rng.standard_normal(2) + 1j * rng.standard_normal(2),
             rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
@@ -300,10 +300,11 @@ class TestAssemble:
 
 def direct_wmse_average(strategy, samples, prec, g, w, stream, user):
     p = prec.common if stream == COMMON else prec.private[:, user]
+    channels, errors = per_sample(samples.realizations_h), per_sample(samples.errors_h)
     vals = []
     for m in range(samples.sample_count):
-        h = samples.realizations[m, :, user]
-        e = samples.errors[m, :, user]
+        h = channels[m, :, user]
+        e = errors[m, :, user]
         T = effective_power_T(strategy, stream, user, h, e, prec)
         vals.append(
             weighted_mse_bits(g[stream, user, m], w[stream, user, m], T, h, p)
@@ -345,13 +346,13 @@ class TestXiHat:
 
     def test_equals_one_minus_sampled_ar_at_update_point(self):
         s, prec, g, w, coeffs = self._instance(9)
-        (rep,) = sampled_average_rates(Strategy.DPCRS1, s, [prec])
+        (rates,) = sampled_average_rates(Strategy.DPCRS1, s, prec.rows[None], prec.order)
         for user in range(2):
             assert xi_hat(coeffs, prec, COMMON, user) == pytest.approx(
-                1.0 - rep.common_per_user[user], abs=1e-10
+                1.0 - rates[COMMON, user], abs=1e-10
             )
             assert xi_hat(coeffs, prec, PRIVATE, user) == pytest.approx(
-                1.0 - rep.private_per_user[user], abs=1e-10
+                1.0 - rates[PRIVATE, user], abs=1e-10
             )
 
     def test_zero_precoders_reduce_to_constants(self):
