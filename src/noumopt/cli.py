@@ -21,13 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .ao import optimize_strategy
-from .channel import draw_estimate, draw_sample_set
 from .experiments import (
     ConfigError,
     ExperimentSpec,
     InfeasibleEverywhereError,
     load_config,
+    optimize_realization,
     parse_strategies,
     run_esr_alpha,
     run_region,
@@ -145,13 +144,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     (strategy,) = spec.strategies
     if args.realization < 0:
         raise ConfigError("--realization must be >= 0")
-    cfg = spec.system
-    estimate = draw_estimate(cfg, args.realization)
-    samples = draw_sample_set(cfg, estimate, spec.sample_count, args.realization)
-    weights = np.ones(cfg.num_users)
-    result = optimize_strategy(
-        cfg, strategy, estimate, samples, weights,
-        spec.multicast_threshold, spec.resolved_unicast_thresholds(), spec.ao,
+    (result,) = optimize_realization(
+        spec, spec.system.csit_alpha, np.ones(spec.system.num_users),
+        spec.resolved_unicast_thresholds(), args.realization,
     )
     feasible = result.status != "infeasible"
     summary = {

@@ -1,9 +1,10 @@
 """Experiment harness: Monte Carlo rate-region and ESR-versus-alpha sweeps.
 
-Every study fans out independent (strategy, grid point, realization) tasks,
-each fully determined by the master seed and its indices, and collects the
-records in task order, so the emitted CSV is byte-identical across runs and
-across worker counts.  Infeasible realizations are recorded with
+Every study fans out independent (grid point, realization) tasks, each fully
+determined by the master seed and its indices, to at most one worker per task;
+a task draws once and runs every strategy on that draw.  The records are built
+in a fixed order once every task is back, so the CSV is byte-identical across
+runs and worker counts.  Infeasible realizations are recorded with
 status=infeasible, never dropped.
 """
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import numbers
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ao import ORDER_CAP, AoConfig, optimize_strategy
+from .ao import ORDER_CAP, AoConfig, AoResult, optimize_strategy
 from .channel import SystemConfig, draw_estimate, draw_sample_set
 from .strategies import Strategy
 
@@ -248,57 +248,44 @@ class ResultRecord:
     user: int
     rate_total: float
     common_c0: float
-    esr: float  # group aggregate, filled after collection
+    esr: float  # aggregate over the (strategy, grid point) group's realizations
     se: float
     iters: int
     status: str
     seed: int
 
 
-@dataclass(frozen=True)
-class _Task:
-    experiment_id: str
-    spec: ExperimentSpec
-    strategy: Strategy
-    alpha: float
-    weight_u2: float   # nan outside region mode
-    weights: tuple[float, ...]
-    unicast_thresholds: tuple[float, ...]
-    realization: int
+def optimize_realization(
+    spec: ExperimentSpec, alpha: float, weights, unicast_thresholds, realization: int
+) -> list[AoResult]:
+    """Each of ``spec.strategies``' results on one realization, in spec order.
 
-
-def _run_task(task: _Task) -> tuple[float, list[ResultRecord]]:
-    """The task's weighted sum rate (nan if infeasible) and its K records, esr/se unset."""
-    spec = task.spec
-    cfg = replace(spec.system, csit_alpha=task.alpha)
-    estimate = draw_estimate(cfg, task.realization)
-    samples = draw_sample_set(cfg, estimate, spec.sample_count, task.realization)
-    result = optimize_strategy(
-        cfg, task.strategy, estimate, samples, np.asarray(task.weights),
-        spec.multicast_threshold, np.asarray(task.unicast_thresholds), spec.ao,
-    )
-    if result.status == "infeasible":
-        totals, c0, value = np.full(cfg.num_users, np.nan), math.nan, math.nan
-    else:
-        totals, c0, value = result.totals(), result.alloc.multicast, result.wasr
-    records = [
-        ResultRecord(
-            task.experiment_id, task.strategy.value, task.alpha, task.weight_u2,
-            task.realization, k, float(totals[k]), float(c0), math.nan, math.nan,
-            result.iterations, result.status, spec.system.master_seed,
+    The estimate and the sample set are drawn once, at CSIT quality
+    ``alpha``, and every strategy is optimized on that same draw.
+    """
+    cfg = replace(spec.system, csit_alpha=alpha)
+    estimate = draw_estimate(cfg, realization)
+    samples = draw_sample_set(cfg, estimate, spec.sample_count, realization)
+    return [
+        optimize_strategy(
+            cfg, strategy, estimate, samples, np.asarray(weights),
+            spec.multicast_threshold, np.asarray(unicast_thresholds), spec.ao,
         )
-        for k in range(cfg.num_users)
+        for strategy in spec.strategies
     ]
-    return float(value), records
 
 
-def _execute(tasks: list[_Task], threads: int) -> list[tuple[float, list[ResultRecord]]]:
+def _execute(spec: ExperimentSpec, tasks: list[tuple], threads: int) -> list[list[AoResult]]:
+    """``optimize_realization`` of every (alpha, weight_u2, weights, unicast
+    thresholds, realization) task, in task order."""
+    alphas, _, weights, thresholds, realizations = zip(*tasks)
+    args = ([spec] * len(tasks), alphas, weights, thresholds, realizations)
     # The executor forks all max_workers processes at its first submit.
     workers = min(threads, len(tasks))
     if workers <= 1:
-        return [_run_task(t) for t in tasks]
+        return list(map(optimize_realization, *args))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_task, tasks, chunksize=1))
+        return list(pool.map(optimize_realization, *args, chunksize=1))
 
 
 def mean_and_se(values: np.ndarray) -> tuple[float, float]:
@@ -308,29 +295,44 @@ def mean_and_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def _finalize(
-    spec: ExperimentSpec, results: list[tuple[float, list[ResultRecord]]]
+    experiment_id: str, spec: ExperimentSpec, tasks: list[tuple], results: list[list[AoResult]]
 ) -> list[ResultRecord]:
-    """Fill every record's esr/se with its group's aggregates over feasible realizations.
+    """Every record, strategy-major, then grid point, then realization.
 
-    A group is one (strategy, grid point): ``num_realizations`` consecutive
-    tasks, because tasks are strategy-major, then grid point, then realization.
-    A group with no feasible realization gets NaN; InfeasibleEverywhereError,
-    holding all the records, then names every such group.
+    ``results[i][s]`` is strategy s's result on ``tasks[i]``.  A record's
+    esr/se are over its (strategy, grid point) group's feasible realizations
+    (``num_realizations`` consecutive tasks); a group with none gets NaN, and
+    InfeasibleEverywhereError, holding all the records, names every such group.
     """
     records = []
     empty = []
     n = spec.num_realizations
-    for start in range(0, len(results), n):
-        group = results[start:start + n]
-        values = np.array([value for value, _ in group if not math.isnan(value)])
-        if values.size == 0:
-            first = group[0][1][0]
-            empty.append(f"{first.strategy} at alpha={first.alpha!r}, "
-                         f"weight_u2={first.weight_u2!r}")
-            esr = se = math.nan
-        else:
-            esr, se = mean_and_se(values)
-        records.extend(replace(rec, esr=esr, se=se) for _, task in group for rec in task)
+    k_users = spec.system.num_users
+    for s, strategy in enumerate(spec.strategies):
+        for start in range(0, len(tasks), n):
+            point = tasks[start:start + n]
+            group = [pair[s] for pair in results[start:start + n]]
+            values = np.array([r.wasr for r in group
+                               if r.status != "infeasible" and not math.isnan(r.wasr)])
+            if values.size == 0:
+                alpha, weight_u2 = point[0][:2]
+                empty.append(f"{strategy.value} at alpha={alpha!r}, weight_u2={weight_u2!r}")
+                esr = se = math.nan
+            else:
+                esr, se = mean_and_se(values)
+            for (alpha, weight_u2, _, _, realization), result in zip(point, group):
+                if result.status == "infeasible":
+                    totals, c0 = np.full(k_users, np.nan), math.nan
+                else:
+                    totals, c0 = result.totals(), result.alloc.multicast
+                records.extend(
+                    ResultRecord(
+                        experiment_id, strategy.value, alpha, weight_u2, realization, k,
+                        float(totals[k]), float(c0), esr, se,
+                        result.iterations, result.status, spec.system.master_seed,
+                    )
+                    for k in range(k_users)
+                )
     if empty:
         raise InfeasibleEverywhereError(
             "every realization infeasible for " + "; ".join(empty), records
@@ -344,10 +346,11 @@ def _sweep(
     points: list[tuple[float, float, tuple[float, ...], tuple[float, ...]]],
     threads: int,
 ) -> list[ResultRecord]:
-    """Run every (strategy, grid point, realization) task and aggregate the records.
+    """Run every (grid point, realization) task and aggregate the records.
 
-    Each grid point is (alpha, weight_u2, weights, unicast thresholds).  Tasks
-    are strategy-major, then grid point, then realization.  Every point's
+    Each grid point is (alpha, weight_u2, weights, unicast thresholds).  A
+    task is one (grid point, realization) pair that runs every strategy on
+    one draw; tasks are grid-point-major, then realization.  Every point's
     system and weights are checked before any task starts, so a grid value
     that a task would reject is a ConfigError, not a mid-sweep failure.
     """
@@ -360,12 +363,8 @@ def _sweep(
             raise ConfigError(f"invalid grid point alpha={alpha!r}: {exc}") from exc
         if not all(math.isfinite(w) and w > 0 for w in weights):
             raise ConfigError(f"invalid grid point weights={weights!r}: weights must be > 0")
-    combos = itertools.product(spec.strategies, points, range(spec.num_realizations))
-    tasks = [
-        _Task(experiment_id, spec, strategy, alpha, weight_u2, weights, thresholds, r)
-        for strategy, (alpha, weight_u2, weights, thresholds), r in combos
-    ]
-    return _finalize(spec, _execute(tasks, threads))
+    tasks = [(*point, r) for point in points for r in range(spec.num_realizations)]
+    return _finalize(experiment_id, spec, tasks, _execute(spec, tasks, threads))
 
 
 def run_region(spec: ExperimentSpec, threads: int = 1) -> list[ResultRecord]:

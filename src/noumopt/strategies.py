@@ -71,6 +71,10 @@ class PrecoderSet:
         if self.order is not None and sorted(self.order) != list(range(self.num_users)):
             raise ValueError("order must be a permutation of the user indices")
 
+    def __reduce__(self):
+        # Rebuilt through __init__, so an unpickled set's rows are read-only too.
+        return type(self), (self.rows, self.order)
+
     @classmethod
     def from_parts(
         cls, common: np.ndarray, private: np.ndarray, order: tuple[int, ...] | None = None

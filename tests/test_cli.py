@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import noumopt
-from noumopt import cli, experiments
+from noumopt import experiments
 from noumopt.cli import main
 
 
@@ -167,7 +168,6 @@ class TestExitCodes:
             raise AssertionError("a task started")
 
         monkeypatch.setattr(experiments, "optimize_strategy", no_task)
-        monkeypatch.setattr(cli, "optimize_strategy", no_task)
         argv = [command, *flags]
         if update is not None:
             argv += ["--config", str(write_config(tmp_path, {**GOOD, **update}))]
@@ -237,6 +237,21 @@ class TestSolveCommand:
         assert summary["status"] == "infeasible"
         for key in ("wasr", "per_user_totals", "common_alloc", "common_bound", "kkt_residual"):
             assert summary[key] is None
+
+    def test_solve_equals_the_sweep(self, tmp_path, capsys):
+        # solve is one task of a one-point esr-alpha sweep at the config's alpha.
+        config = {**GOOD, "strategies": ["dpcrs1", "dpc", "rs1", "mulp"],
+                  "alpha_grid": [GOOD["system"]["csit_alpha"]]}
+        records = experiments.run_esr_alpha(experiments.spec_from_dict(config))
+        cfg = write_config(tmp_path, config)
+        for strategy, realization in itertools.product(config["strategies"], [0, 1]):
+            assert main(["solve", "--config", str(cfg), "--strategy", strategy,
+                         "--realization", str(realization)]) == 0
+            summary = json.loads(capsys.readouterr().out)
+            rows = [r for r in records if r.strategy == strategy and r.realization == realization]
+            assert summary["per_user_totals"] == [r.rate_total for r in rows]
+            assert {(summary["iterations"], summary["status"])} == {
+                (r.iters, r.status) for r in rows}
 
     def test_solve_unknown_strategy(self, tmp_path):
         cfg = write_config(tmp_path, GOOD)

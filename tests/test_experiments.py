@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import itertools
 import json
 import math
 
@@ -8,7 +9,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import exp1
 
-from noumopt import Strategy, SystemConfig, draw_estimate, draw_sample_set, optimize_strategy
+from noumopt import (
+    Strategy, SystemConfig, draw_estimate, draw_sample_set, experiments, optimize_strategy,
+)
 from noumopt.ao import ORDER_CAP, AoConfig
 from noumopt.experiments import (
     DEFAULT_WEIGHT_GRID,
@@ -168,7 +171,7 @@ class TestErgodicRates:
         spec = spec_from_dict({
             "system": {"num_users": 1, "num_tx_antennas": 1, "snr_db": 20.0,
                        "csit_alpha": 0.6, "channel_variances": [1.0], "master_seed": 1},
-            "strategies": ["rs1"],
+            "strategies": ["rs1", "mulp"],
             "sample_count": 16,
             "num_realizations": 2,
             "alpha_grid": [0.6],
@@ -178,8 +181,11 @@ class TestErgodicRates:
         with pytest.raises(InfeasibleEverywhereError) as excinfo:
             run_esr_alpha(spec)
         records = excinfo.value.records
-        assert [r.realization for r in records] == [0, 1]
+        assert [(r.strategy, r.realization) for r in records] == [
+            ("rs1", 0), ("rs1", 1), ("mulp", 0), ("mulp", 1)]
         assert all(r.status == "infeasible" and math.isnan(r.esr) for r in records)
+        message = str(excinfo.value)
+        assert message.index("rs1 at alpha=0.6") < message.index("mulp at alpha=0.6")
 
 
 class TestRegionRun:
@@ -187,10 +193,30 @@ class TestRegionRun:
         spec = spec_from_dict(base_config())
         records_a = run_region(spec, threads=1)
         records_b = run_region(spec, threads=2)
-        assert len(records_a) == 2 * 2 * 2 * 2  # strategies x grid x realizations x users
+        # Strategy-major, then grid point, then realization, then user.
+        assert [(r.strategy, r.weight_u2, r.realization, r.user) for r in records_a] == list(
+            itertools.product(["rs1", "mulp"], [0.5, 2.0], [0, 1], [0, 1]))
         write_csv(records_a, tmp_path / "a.csv")
         write_csv(records_b, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_each_pair_draws_once_for_every_strategy(self, monkeypatch, record_calls):
+        estimates = record_calls(experiments, "draw_estimate")
+        sample_sets = record_calls(experiments, "draw_sample_set")
+        received = []
+        optimize = experiments.optimize_strategy
+
+        def recorded(cfg, strategy, estimate, samples, *args):
+            received.append((strategy, estimate, samples))
+            return optimize(cfg, strategy, estimate, samples, *args)
+
+        monkeypatch.setattr(experiments, "optimize_strategy", recorded)
+        spec = spec_from_dict(base_config())   # 2 strategies x 2 weights x 2 realizations
+        run_region(spec)
+        assert len(estimates) == len(sample_sets) == 4
+        assert [strategy for strategy, _, _ in received] == [Strategy.RS1, Strategy.MULP] * 4
+        for i, (strategy, estimate, samples) in enumerate(received):
+            assert estimate is estimates[i // 2] and samples is sample_sets[i // 2]
 
     @pytest.mark.parametrize("realizations, pools", [(2, [2]), (1, [])])
     def test_workers_capped_at_the_task_count(self, monkeypatch, realizations, pools):
@@ -208,8 +234,8 @@ class TestRegionRun:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         spec = spec_from_dict(base_config(

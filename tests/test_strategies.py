@@ -1,5 +1,6 @@
 import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -292,6 +293,14 @@ class TestPrecoderSetValidation:
             PrecoderSet(np.ones(3, complex))
         with pytest.raises(ValueError):
             PrecoderSet(np.ones((1, 3), complex))       # p_c alone: K = 0
+
+    def test_pickle_round_trip_keeps_rows_read_only(self):
+        # A sweep's results cross a process boundary as pickles.
+        for order in (None, (1, 0)):
+            prec = pickle.loads(pickle.dumps(PrecoderSet(np.ones((3, 2)), order)))
+            assert not prec.rows.flags.writeable
+            assert prec.order == order
+            assert prec.rows.tobytes() == PrecoderSet(np.ones((3, 2))).rows.tobytes()
 
 
 class TestPrecoderLayout:
